@@ -49,6 +49,22 @@ class ForceSerialGuard {
 /// True while a ForceSerialGuard is active on the calling thread.
 bool force_serial_active();
 
+/// Scoped test override, the mirror of ForceSerialGuard: callers that derive
+/// their grain from measured costs (the serve tick, DESIGN.md §13) use
+/// grain 1 on *this thread* while it is active, so small fixtures still
+/// dispatch to the pool and the parallel leg of an equivalence test really
+/// races.  Nestable.
+class ForceFanOutGuard {
+ public:
+  ForceFanOutGuard();
+  ~ForceFanOutGuard();
+  ForceFanOutGuard(const ForceFanOutGuard&) = delete;
+  ForceFanOutGuard& operator=(const ForceFanOutGuard&) = delete;
+};
+
+/// True while a ForceFanOutGuard is active on the calling thread.
+bool force_fan_out_active();
+
 /// Apply `body(chunk_begin, chunk_end)` over [begin, end) in chunks of
 /// `grain` indices.  The body must write disjoint state per index.  Chunks
 /// may run on any thread in any order; exceptions thrown by the body are

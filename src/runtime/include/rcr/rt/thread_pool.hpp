@@ -6,12 +6,18 @@
 // created lazily on first use, sized by the RCR_THREADS environment
 // variable (total thread count including the caller) or, when unset, by
 // std::thread::hardware_concurrency().
+//
+// The pool also keeps a running estimate of what one parallel_for dispatch
+// costs beyond the work it runs (dispatch_us()), so callers that size their
+// own grain can skip fan-outs that cannot pay for themselves.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -46,14 +52,34 @@ class ThreadPool {
   /// deadlocking on a saturated queue.
   static bool on_worker_thread();
 
+  /// Running median, in microseconds, of one dispatch round trip: the time
+  /// from submit until a helper claims its first chunk, plus the caller's
+  /// wake-up once a helper has finished the last chunk (DESIGN.md §6
+  /// "Sizing").  0 for a pool with no workers.  The first call seeds the
+  /// estimate with the fastest of a few round trips through a worker, unless
+  /// a measured dispatch already has; on a worker thread an unseeded
+  /// estimate reads as +infinity, since waiting on its own pool could
+  /// deadlock.
+  double dispatch_us();
+
+  /// Fold one measured dispatch into the estimate (called by parallel_for)
+  /// and export the sample as the rcr.runtime.dispatch_us histogram.  A
+  /// `lower_bound` sample only says the dispatch cost at least `us` (no
+  /// helper claimed a chunk before the caller finished them all): it is
+  /// folded in as max(us, estimate), and dropped while unseeded.
+  void record_dispatch(double us, bool lower_bound);
+
  private:
   void worker_loop();
+  void seed_dispatch_estimate();
 
   std::vector<std::thread> workers_;
   std::deque<std::function<void()>> queue_;
   std::mutex mutex_;
   std::condition_variable cv_;
   bool stop_ = false;
+  std::atomic<double> dispatch_us_{
+      std::numeric_limits<double>::infinity()};  ///< Until seeded.
 };
 
 /// Thread count requested by the environment: RCR_THREADS when set to a
@@ -66,8 +92,9 @@ std::size_t default_thread_count();
 ThreadPool& global_pool();
 
 /// Resize the global pool to `total` threads of concurrency (total - 1
-/// workers).  Intended for tests and benchmarks; must not be called while
-/// parallel work is in flight.
+/// workers).  The new pool starts its own dispatch estimate.  Intended for
+/// tests and benchmarks; must not be called while parallel work is in
+/// flight.
 void set_global_threads(std::size_t total);
 
 /// Total concurrency the global pool currently provides (workers + 1).

@@ -9,10 +9,12 @@
 //  2. Solution caching -- a sharded LRU keyed by quantized problem
 //     signature returns the previous allocation outright when the problem
 //     did not change materially (block-fading coherence intervals).
-//  3. Batched parallel solves -- cells fan out across the global ThreadPool
-//     via rt::parallel_for with per-cell scratch arenas; the chunk
-//     decomposition and per-cell state make results bit-exact for every
-//     RCR_THREADS setting.
+//  3. Batched parallel solves -- a tick fans its cells out across the
+//     global ThreadPool via rt::parallel_for only when its measured work
+//     pays for the dispatch (tick_grain: the service's running per-cell
+//     cost against the pool's measured round trip); smaller ticks run
+//     inline.  Per-cell scratch arenas and per-cell state make results
+//     bit-exact for every grain and every RCR_THREADS setting.
 //
 // Degradation: each cell solves through a FallbackChain "serve.cell"
 // (warm-started ADMM power QP -> water-filling -> equal power); when the
@@ -72,8 +74,6 @@ struct ServiceConfig {
   /// Scale of the soft power-budget penalty added to the QP Hessian
   /// (multiplied by the largest curvature entry).
   double budget_penalty = 1.0;
-  /// parallel_for grain: cells per chunk.
-  std::size_t cells_per_chunk = 1;
   /// Overload-control layer (DESIGN.md §15); every piece defaults off, so a
   /// default-configured service behaves exactly as before this layer existed.
   AdmissionConfig admission;
@@ -124,6 +124,17 @@ struct TickReport {
   /// the cross-thread determinism witness.
   std::uint64_t solution_hash = 0;
 };
+
+/// Cells per parallel_for chunk for a tick of `cells` cells (DESIGN.md §13
+/// "Tick grain"): the number of cells whose measured cost, `cell_us` each,
+/// covers a fixed multiple of one dispatch round trip (`dispatch_us`, see
+/// rt::ThreadPool::dispatch_us).  Returns at least `cells` -- one chunk, so
+/// the tick runs inline -- when there is no per-cell estimate yet
+/// (`cell_us` <= 0: a service's first two ticks) or the pool has no
+/// workers.  Always >= 1;
+/// non-increasing in `cell_us` and non-decreasing in `dispatch_us`.
+std::size_t tick_grain(std::size_t cells, double cell_us, double dispatch_us,
+                       std::size_t workers);
 
 /// The tick loop.  Construct once per fleet; call tick() with consecutive
 /// tick indices.  Not itself thread-safe (one driver thread); the internal
@@ -210,6 +221,9 @@ class AllocationService {
   std::vector<CellAllocation> current_;
   std::vector<CellRuntime> runtime_;
   BrownoutController brownout_;
+  /// Running per-cell cost in microseconds (0 until the second tick).
+  double cell_us_ = 0.0;
+  std::size_t ticks_served_ = 0;
 };
 
 }  // namespace rcr::serve

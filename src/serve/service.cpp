@@ -1,5 +1,6 @@
 #include "rcr/serve/service.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -12,6 +13,7 @@
 #include "rcr/robust/fault_injection.hpp"
 #include "rcr/rt/parallel.hpp"
 #include "rcr/rt/scratch_arena.hpp"
+#include "rcr/rt/thread_pool.hpp"
 
 namespace rcr::serve {
 
@@ -29,6 +31,20 @@ void rescale_to_budget(Vec& power, double budget) {
   for (double& p : power) p *= scale;
 }
 
+// A tick fans out only when each chunk carries this many measured dispatch
+// round trips of work (rt::ThreadPool::dispatch_us).  On a 2-thread pool a
+// tick fanned out at grain 1 breaks even with the inline tick at about
+// 120-200 us of work, 3-18 round trips as the pool measures them: the round
+// trip does not price the caches a helper starts cold on, nor the queue and
+// latch the caller pays for.  With 16, each fanned-out chunk alone carries
+// about break-even work or more, so noise in either estimate does not tip a
+// losing tick into fanning out (DESIGN.md §13 "Tick grain" has the
+// crossover table).
+constexpr double kFanOutMultiple = 16.0;
+
+// Weight of one tick in the running per-cell cost.
+constexpr double kCellCostWeight = 0.25;
+
 /// Sum spectral efficiency of an allocation over its per-RB gains.
 double sum_rate_of(const Vec& gains, const Vec& power) {
   double rate = 0.0;
@@ -38,6 +54,15 @@ double sum_rate_of(const Vec& gains, const Vec& power) {
 }
 
 }  // namespace
+
+std::size_t tick_grain(std::size_t cells, double cell_us, double dispatch_us,
+                       std::size_t workers) {
+  const std::size_t whole = std::max<std::size_t>(1, cells);
+  if (workers == 0 || !(cell_us > 0.0)) return whole;
+  const double grain = std::ceil(kFanOutMultiple * dispatch_us / cell_us);
+  if (!(grain < static_cast<double>(whole))) return whole;
+  return grain > 1.0 ? static_cast<std::size_t>(grain) : 1;
+}
 
 AllocationService::AllocationService(const ServiceConfig& config,
                                      std::size_t num_cells)
@@ -470,8 +495,17 @@ TickReport AllocationService::tick(std::size_t tick_index,
   // pressure (in-place mutation would let a racing get's refresh land
   // before or after a racing put's eviction scan).
   if (config_.cache_enabled) cache_.begin_deferred();
+  // Fan out only when the measured work pays for the dispatch; otherwise
+  // the grain covers every cell and parallel_for runs the tick inline.
+  rt::ThreadPool& pool = rt::global_pool();
+  const std::size_t grain =
+      rt::force_fan_out_active()
+          ? 1
+          : tick_grain(cells, cell_us_, pool.dispatch_us(), pool.size());
+  const bool inline_tick = rt::detail::must_run_serial(cells, grain);
+  const std::size_t chunks = inline_tick ? 1 : (cells + grain - 1) / grain;
   rt::parallel_for(
-      0, cells, std::max<std::size_t>(1, config_.cells_per_chunk),
+      0, cells, grain,
       [&](std::size_t c0, std::size_t c1) {
         for (std::size_t c = c0; c < c1; ++c) {
           const std::uint64_t stamp = tick * cells + c;
@@ -567,8 +601,23 @@ TickReport AllocationService::tick(std::size_t tick_index,
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     t_start)
           .count();
+  // Running per-cell cost from the tick's own clock: a fanned-out tick
+  // spread its work over min(chunks, threads) threads.  The first tick
+  // solves every cell cold and says little about the ticks that follow, so
+  // the estimate starts from the second.
+  if (ticks_served_++ > 0) {
+    const double threads_used = static_cast<double>(
+        std::min<std::size_t>(chunks, pool.size() + 1));
+    const double cell_sample = report.tick_seconds * 1e6 * threads_used /
+                               static_cast<double>(cells);
+    cell_us_ = cell_us_ > 0.0
+                   ? cell_us_ + kCellCostWeight * (cell_sample - cell_us_)
+                   : cell_sample;
+  }
 
   obs::counter_add("rcr.serve.ticks");
+  if (inline_tick) obs::counter_add("rcr.serve.inline_ticks");
+  obs::gauge_set("rcr.serve.cell_us", cell_us_);
   obs::counter_add("rcr.serve.solves", report.solves);
   obs::counter_add("rcr.serve.iterations", report.total_iterations);
   if (report.admitted > 0)
@@ -585,6 +634,7 @@ TickReport AllocationService::tick(std::size_t tick_index,
   span.attr("cells", static_cast<double>(cells));
   span.attr("cache_hits", static_cast<double>(report.cache_hits));
   span.attr("iterations", static_cast<double>(report.total_iterations));
+  span.attr("chunks", static_cast<double>(chunks));
 
   if (config_.brownout.enabled) {
     const double degraded_fraction =

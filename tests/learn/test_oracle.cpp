@@ -19,6 +19,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "../fan_out_leg.hpp"
 #include "rcr/learn/artifact.hpp"
 #include "rcr/learn/project.hpp"
 #include "rcr/learn/train.hpp"
@@ -227,7 +228,12 @@ TEST(LearnOracle, LearnedOnServiceBitExactAcrossThreadModes) {
     }
     return hashes;
   };
-  const std::vector<std::uint64_t> parallel = run(false);
+  std::vector<std::uint64_t> parallel;
+  {
+    test_support::FanOutLeg leg;
+    parallel = run(false);
+    EXPECT_GT(leg.tasks(), 0u) << "parallel leg never dispatched";
+  }
   const std::vector<std::uint64_t> serial = run(true);
   ASSERT_EQ(parallel.size(), serial.size());
   for (std::size_t t = 0; t < parallel.size(); ++t)

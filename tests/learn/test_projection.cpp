@@ -8,6 +8,7 @@
 #include <cstring>
 #include <limits>
 
+#include "../fan_out_leg.hpp"
 #include "rcr/learn/project.hpp"
 #include "rcr/numerics/rng.hpp"
 #include "rcr/rt/parallel.hpp"
@@ -199,7 +200,8 @@ TEST(ProjectPsd, OutputIsPsdEvenForAdversarialMatrices) {
 
 TEST(Projection, BitExactAcrossThreadModes) {
   // Projections are pure serial functions; pin that down by comparing a
-  // forced-serial run against the default (possibly pooled) environment.
+  // forced-serial run against a forced fan-out on a pool with workers,
+  // which must not dispatch anything.
   num::Rng rng(31337);
   const std::size_t n = 64;
   Vec lo(n), hi(n), v(n);
@@ -208,8 +210,13 @@ TEST(Projection, BitExactAcrossThreadModes) {
     hi[i] = std::abs(rng.normal()) + 0.1;
     v[i] = rng.normal(0.0, 10.0);
   }
-  const Vec box_parallel = project_box(v, lo, hi);
-  const Vec simplex_parallel = project_simplex(v, 3.0);
+  Vec box_parallel, simplex_parallel;
+  {
+    test_support::FanOutLeg leg;
+    box_parallel = project_box(v, lo, hi);
+    simplex_parallel = project_simplex(v, 3.0);
+    EXPECT_EQ(leg.tasks(), 0u) << "a projection reached the pool";
+  }
   Vec box_serial, simplex_serial;
   {
     rt::ForceSerialGuard serial;

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
 
+#include "rcr/obs/metrics.hpp"
 #include "rcr/rt/parallel.hpp"
 #include "rcr/rt/thread_pool.hpp"
 
@@ -148,6 +150,98 @@ TEST(ForceSerialGuard, SuppressesParallelDispatchOnThisThread) {
     });
   }
   EXPECT_FALSE(force_serial_active());
+}
+
+TEST(ForceFanOutGuard, IsThreadLocalAndNestable) {
+  EXPECT_FALSE(force_fan_out_active());
+  {
+    ForceFanOutGuard outer;
+    {
+      ForceFanOutGuard inner;
+      EXPECT_TRUE(force_fan_out_active());
+    }
+    EXPECT_TRUE(force_fan_out_active());
+    std::atomic<bool> seen_on_worker{true};
+    {
+      ThreadPool pool(1);
+      pool.submit([&seen_on_worker] {
+        seen_on_worker = force_fan_out_active();
+      });
+      // The destructor drains the queue before joining.
+    }
+    EXPECT_FALSE(seen_on_worker.load());
+  }
+  EXPECT_FALSE(force_fan_out_active());
+}
+
+TEST(DispatchEstimate, ZeroWorkerPoolPaysNothing) {
+  ThreadPool pool(0);
+  EXPECT_EQ(pool.dispatch_us(), 0.0);
+}
+
+TEST(DispatchEstimate, WorkerThreadNeverSeedsItsOwnPool) {
+  // Seeding waits on a worker; a worker asking its own 1-worker pool would
+  // wait on itself.  It reads the unseeded estimate as +infinity instead.
+  std::atomic<double> seen{0.0};
+  {
+    ThreadPool pool(1);
+    pool.submit([&seen, &pool] { seen = pool.dispatch_us(); });
+  }
+  EXPECT_TRUE(std::isinf(seen.load()));
+}
+
+TEST(DispatchEstimate, LowerBoundsOnlyRaiseTheEstimate) {
+  ThreadPool pool(1);
+  const double seeded = pool.dispatch_us();
+  ASSERT_TRUE(std::isfinite(seeded));
+  pool.record_dispatch(0.0, /*lower_bound=*/true);
+  EXPECT_EQ(pool.dispatch_us(), seeded);
+  pool.record_dispatch(seeded + 80.0, /*lower_bound=*/true);
+  EXPECT_GT(pool.dispatch_us(), seeded);
+}
+
+TEST(DispatchEstimate, DescheduledDispatchesMoveItLittle) {
+  // A running median: ten dispatches that cost 1000x the seed (a helper or
+  // caller that lost its core) move the estimate by less than 2x, so they
+  // cannot hold a caller inline.
+  ThreadPool pool(1);
+  const double seeded = pool.dispatch_us();
+  ASSERT_TRUE(std::isfinite(seeded));
+  for (int i = 0; i < 10; ++i)
+    pool.record_dispatch(1000.0 * seeded, /*lower_bound=*/false);
+  const double raised = pool.dispatch_us();
+  EXPECT_GT(raised, seeded);
+  EXPECT_LT(raised, 2.0 * seeded);
+}
+
+TEST(DispatchEstimate, SeededOnFirstReadAndResetBySetGlobalThreads) {
+  set_global_threads(4);
+  const double seeded = global_pool().dispatch_us();
+  EXPECT_TRUE(std::isfinite(seeded));
+  EXPECT_GT(seeded, 0.0);
+
+  // Each fan-out folds one measured round trip into the estimate and the
+  // rcr.runtime.dispatch_us histogram.
+  obs::ScopedMetrics metrics;
+  std::vector<int> hits(64, 0);
+  for (int rep = 0; rep < 3; ++rep)
+    parallel_for(0, hits.size(), 1, [&](std::size_t b, std::size_t e) {
+      for (std::size_t i = b; i < e; ++i) ++hits[i];
+    });
+  const double updated = global_pool().dispatch_us();
+  EXPECT_TRUE(std::isfinite(updated));
+  EXPECT_GT(updated, 0.0);
+  std::uint64_t observed = 0;
+  for (const obs::MetricSample& s : obs::metrics_snapshot())
+    if (s.name == "rcr.runtime.dispatch_us") observed = s.count;
+  EXPECT_EQ(observed, 3u);
+
+  // A rebuilt pool starts from its own measurement: no workers, no cost.
+  set_global_threads(1);
+  EXPECT_EQ(global_pool().dispatch_us(), 0.0);
+  set_global_threads(4);
+  EXPECT_TRUE(std::isfinite(global_pool().dispatch_us()));
+  EXPECT_GT(global_pool().dispatch_us(), 0.0);
 }
 
 TEST(GlobalPool, SetThreadsResizes) {

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "../fan_out_leg.hpp"
 #include "rcr/rt/parallel.hpp"
 #include "rcr/scn/dsl.hpp"
 #include "rcr/scn/grader.hpp"
@@ -189,8 +190,10 @@ TEST(OverloadFleet, GradesByteIdenticalSerialVsParallel) {
     rt::ForceSerialGuard serial;
     serial_report = report_json(grade_fleet(fleet, fleet_seed), fleet);
   }
+  test_support::FanOutLeg leg;
   const std::string parallel_report =
       report_json(grade_fleet(fleet, fleet_seed), fleet);
+  EXPECT_GT(leg.tasks(), 0u) << "parallel leg never dispatched";
   EXPECT_EQ(serial_report, parallel_report)
       << "admission/breaker/brownout decisions drifted across RCR_THREADS";
 }

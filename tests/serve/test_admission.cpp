@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "../fan_out_leg.hpp"
 #include "rcr/obs/obs.hpp"
 #include "rcr/rt/parallel.hpp"
 #include "rcr/serve/overload.hpp"
@@ -245,7 +246,9 @@ TEST(Admission, ExpiredDeadlineAtTickStartIsAFullShedTick) {
     rt::ForceSerialGuard serial;
     serial_hashes = run();
   }
+  test_support::FanOutLeg leg;
   const std::vector<std::uint64_t> parallel_hashes = run();
+  EXPECT_GT(leg.tasks(), 0u) << "parallel leg never dispatched";
   EXPECT_EQ(serial_hashes, parallel_hashes);
 }
 
@@ -275,7 +278,9 @@ TEST(Admission, DecisionsBitExactSerialVsParallel) {
     rt::ForceSerialGuard serial;
     serial_trace = run();
   }
+  test_support::FanOutLeg leg;
   EXPECT_EQ(serial_trace, run());
+  EXPECT_GT(leg.tasks(), 0u) << "parallel leg never dispatched";
 }
 
 }  // namespace

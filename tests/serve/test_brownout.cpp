@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "../fan_out_leg.hpp"
 #include "rcr/obs/obs.hpp"
 #include "rcr/robust/fault_injection.hpp"
 #include "rcr/rt/parallel.hpp"
@@ -186,7 +187,9 @@ TEST(Brownout, EscalationIsBitExactSerialVsParallel) {
     rt::ForceSerialGuard serial;
     serial_trace = run();
   }
+  test_support::FanOutLeg leg;
   EXPECT_EQ(serial_trace, run());
+  EXPECT_GT(leg.tasks(), 0u) << "parallel leg never dispatched";
 }
 
 }  // namespace

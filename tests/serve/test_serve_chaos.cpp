@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "../fan_out_leg.hpp"
 #include "rcr/obs/metrics.hpp"
 #include "rcr/robust/fault_injection.hpp"
 #include "rcr/rt/parallel.hpp"
@@ -211,6 +212,7 @@ TEST(ServeChaos, KeyedInjectionKeepsTicksBitExactSerialVsParallel) {
     }
   }
   {
+    test_support::FanOutLeg leg;
     faults::ScopedFaults scope(spec);
     RCR_CHAOS_TRACE();
     DiurnalWorkload wl(wc);
@@ -219,6 +221,7 @@ TEST(ServeChaos, KeyedInjectionKeepsTicksBitExactSerialVsParallel) {
       wl.advance(t);
       parallel_hashes.push_back(service.tick(t, wl).solution_hash);
     }
+    EXPECT_GT(leg.tasks(), 0u) << "parallel leg never dispatched";
   }
   EXPECT_EQ(serial_hashes, parallel_hashes);
 }

@@ -6,9 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
+#include "../fan_out_leg.hpp"
+#include "rcr/obs/metrics.hpp"
 #include "rcr/rt/parallel.hpp"
 #include "rcr/rt/thread_pool.hpp"
 
@@ -203,12 +207,14 @@ TEST(AllocationService, SolutionHashBitExactSerialVsParallel) {
     }
   }
   {
+    test_support::FanOutLeg leg;
     DiurnalWorkload wl(wc);
     AllocationService service(sc, wc.num_cells);
     for (std::size_t t = 0; t < 10; ++t) {
       wl.advance(t);
       parallel_hashes.push_back(service.tick(t, wl).solution_hash);
     }
+    EXPECT_GT(leg.tasks(), 0u) << "parallel leg never dispatched";
   }
   EXPECT_EQ(serial_hashes, parallel_hashes);
 }
@@ -253,8 +259,92 @@ TEST(AllocationService, CacheEvictionOrderBitExactSerialVsParallel) {
     rt::ForceSerialGuard serial;
     serial_trace = run();
   }
-  const std::vector<TickTrace> parallel_trace = run();
+  std::vector<TickTrace> parallel_trace;
+  {
+    test_support::FanOutLeg leg;
+    parallel_trace = run();
+    EXPECT_GT(leg.tasks(), 0u) << "parallel leg never dispatched";
+  }
   EXPECT_EQ(serial_trace, parallel_trace);
+}
+
+TEST(TickGrain, RunsInlineWithoutACellEstimateOrWorkers) {
+  // No per-cell estimate yet (a fresh service), or nothing to fan out to.
+  EXPECT_GE(tick_grain(16, 0.0, 10.0, 3), 16u);
+  EXPECT_GE(tick_grain(16, -1.0, 10.0, 3), 16u);
+  EXPECT_GE(tick_grain(16, std::nan(""), 10.0, 3), 16u);
+  EXPECT_GE(tick_grain(16, 12.0, 10.0, 0), 16u);
+  EXPECT_GE(tick_grain(4096, 1e6, 1e-3, 0), 4096u);
+}
+
+TEST(TickGrain, IsAlwaysAtLeastOne) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (std::size_t cells : {0u, 1u, 2u, 16u, 256u, 4096u})
+    for (double cell_us : {-1.0, 0.0, 1e-9, 0.5, 12.0, 1e6, inf})
+      for (double dispatch_us : {0.0, 1e-3, 9.0, 1e9, inf, std::nan("")})
+        for (std::size_t workers : {0u, 1u, 3u})
+          EXPECT_GE(tick_grain(cells, cell_us, dispatch_us, workers), 1u)
+              << cells << " cells, " << cell_us << " us/cell, "
+              << dispatch_us << " us/dispatch, " << workers << " workers";
+}
+
+TEST(TickGrain, MonotoneInCellCostAndDispatchCost) {
+  const std::size_t cells = 256;
+  // Dearer cells pay for a dispatch sooner: the grain never grows.
+  std::size_t prev = tick_grain(cells, 0.01, 10.0, 1);
+  for (double cell_us = 0.01; cell_us < 1e5; cell_us *= 1.3) {
+    const std::size_t g = tick_grain(cells, cell_us, 10.0, 1);
+    EXPECT_LE(g, prev) << cell_us << " us/cell";
+    prev = g;
+  }
+  // Dearer dispatches need more work per chunk: the grain never shrinks.
+  prev = tick_grain(cells, 12.0, 0.0, 1);
+  for (double dispatch_us = 1e-3; dispatch_us < 1e5; dispatch_us *= 1.3) {
+    const std::size_t g = tick_grain(cells, 12.0, dispatch_us, 1);
+    EXPECT_GE(g, prev) << dispatch_us << " us/dispatch";
+    prev = g;
+  }
+}
+
+TEST(TickGrain, SmallTicksRunInlineLargeTicksFanOut) {
+  // About 12 us per cell against a 9 us round trip: an 8-cell tick cannot
+  // pay for a dispatch, a 256-cell tick fans out in chunks of about 12.
+  EXPECT_GE(tick_grain(8, 12.0, 9.0, 1), 8u);
+  const std::size_t g = tick_grain(256, 12.0, 9.0, 1);
+  EXPECT_GT(g, 1u);
+  EXPECT_LT(g, 32u);
+}
+
+TEST(AllocationService, FreshServiceTicksInlineUntilItHasACellCost) {
+  const WorkloadConfig wc = small_workload();
+  const std::size_t prior_threads = rt::global_threads();
+  rt::set_global_threads(4);
+  const auto metric = [](const char* name) {
+    double v = 0.0;
+    for (const obs::MetricSample& s : obs::metrics_snapshot())
+      if (s.name == name) v = s.value;
+    return v;
+  };
+  {
+    obs::ScopedMetrics metrics;
+    DiurnalWorkload wl(wc);
+    AllocationService service(ServiceConfig{}, wc.num_cells);
+    // The cold first tick is not sampled, so the first two run inline.
+    for (std::size_t t = 0; t < 2; ++t) {
+      wl.advance(t);
+      service.tick(t, wl);
+    }
+    EXPECT_EQ(metric("rcr.serve.inline_ticks"), 2.0);
+    EXPECT_EQ(metric("rcr.runtime.tasks"), 0.0);
+    EXPECT_GT(metric("rcr.serve.cell_us"), 0.0);
+
+    rt::ForceFanOutGuard fan_out;
+    wl.advance(2);
+    service.tick(2, wl);
+    EXPECT_EQ(metric("rcr.serve.inline_ticks"), 2.0);
+    EXPECT_GT(metric("rcr.runtime.tasks"), 0.0);
+  }
+  rt::set_global_threads(prior_threads);
 }
 
 TEST(AllocationService, ExpiredDeadlineStillAnswersEveryCell) {

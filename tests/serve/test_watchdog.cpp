@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "../fan_out_leg.hpp"
 #include "rcr/obs/obs.hpp"
 #include "rcr/robust/fault_injection.hpp"
 #include "rcr/rt/parallel.hpp"
@@ -187,7 +188,9 @@ TEST(Watchdog, QuarantineBitExactSerialVsParallel) {
     rt::ForceSerialGuard serial;
     serial_trace = run();
   }
+  test_support::FanOutLeg leg;
   EXPECT_EQ(serial_trace, run());
+  EXPECT_GT(leg.tasks(), 0u) << "parallel leg never dispatched";
 }
 
 }  // namespace
