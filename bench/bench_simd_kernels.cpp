@@ -2,14 +2,17 @@
 //
 // Two layers of measurement:
 //
-//   kernels   rcr::rt::simd primitives (dot, axpy, matmul, matvec, FFT)
-//             timed on the active dispatch table and again under
-//             ForceScalarGuard -- the intra-run vectorization gain.
+//   kernels   every rt::simd::Kernels entry at n in {12, 96, 4096} (the
+//             serve RB count, the matmul row, a long vector), then the
+//             composite matmul / matvec / FFT, each timed on the active
+//             dispatch table and again under ForceScalarGuard -- the
+//             intra-run vectorization gain.  A per-entry /simd record
+//             carries speedup_vs against its /scalar twin.
 //   solvers   the obs-bench ADMM / SDP workload (same Rng(7) draw, same
-//             sizes) in its default configuration and in the opt-in fast
-//             configurations: mixed-precision refinement for the box-QP,
-//             and structured KKT + warm-started thresholded PSD projection
-//             + workspace reuse for the SDP.
+//             sizes): the box-QP in its default configuration, the SDP in
+//             its default configuration and in the opt-in fast
+//             configuration (structured KKT + warm-started thresholded PSD
+//             projection + workspace reuse).
 //
 // When a previous harness JSON is reachable (RCR_BENCH_BASELINE, default
 // BENCH_perf_obs.json), matching records gain "speedup_vs" against it; the
@@ -17,9 +20,12 @@
 // sdp_admm/off baseline (or this run's own off measurement when no file is
 // present) -- the number the >= 4x acceptance gate reads.  Writes
 // BENCH_perf_simd.json.
+#include <complex>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <string>
+#include <vector>
 
 #include "harness.hpp"
 #include "rcr/numerics/matrix.hpp"
@@ -59,6 +65,90 @@ class DisarmObs {
 
 volatile double g_sink = 0.0;
 
+// Times each Kernels entry on n-element operands, active table vs scalar.
+// One op is one kernel call; the timed closure repeats the call so a
+// 12-element op is not lost in clock resolution, and the record is scaled
+// back to per-call cost.  In-place kernels stay finite under repetition:
+// axpy grows linearly, rotate_pair preserves the norm, and the butterfly's
+// twiddle of -0.5 gives its 2x2 update unit-modulus eigenvalues.
+void sweep_kernels(rcr::bench::Harness& h, std::size_t n, int reps) {
+  using C = std::complex<double>;
+  Rng rng(17 + n);
+  const Vec a = rng.normal_vec(n);
+  const Vec b = rng.normal_vec(n);
+  const Vec w = rng.normal_vec(n);
+  Vec out(n, 0.0);
+  Vec x = rng.normal_vec(n);
+  Vec y = rng.normal_vec(n);
+  std::vector<C> lo(n), hi(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    lo[i] = {rng.normal(), rng.normal()};
+    hi[i] = {rng.normal(), rng.normal()};
+  }
+  const std::vector<C> tw(n, C(-0.5, 0.0));
+
+  using Call = std::function<void(const simd::Kernels&)>;
+  const std::pair<const char*, Call> entries[] = {
+      {"add", [&](const simd::Kernels& k) {
+         k.add(a.data(), b.data(), out.data(), n);
+       }},
+      {"sub", [&](const simd::Kernels& k) {
+         k.sub(a.data(), b.data(), out.data(), n);
+       }},
+      {"mul", [&](const simd::Kernels& k) {
+         k.mul(a.data(), b.data(), out.data(), n);
+       }},
+      {"scale", [&](const simd::Kernels& k) {
+         k.scale(a.data(), -1.75, out.data(), n);
+       }},
+      {"axpy", [&](const simd::Kernels& k) {
+         k.axpy(1e-3, a.data(), out.data(), n);
+       }},
+      {"rotate_pair", [&](const simd::Kernels& k) {
+         k.rotate_pair(x.data(), y.data(), 0.8, 0.6, n);
+       }},
+      {"dot_seq", [&](const simd::Kernels& k) {
+         g_sink = k.dot_seq(0.0, a.data(), b.data(), n);
+       }},
+      {"absdot_seq", [&](const simd::Kernels& k) {
+         g_sink = k.absdot_seq(0.0, a.data(), b.data(), n);
+       }},
+      {"choose_dot_seq", [&](const simd::Kernels& k) {
+         g_sink = k.choose_dot_seq(0.0, w.data(), a.data(), b.data(), n);
+       }},
+      {"masked_dot_seq", [&](const simd::Kernels& k) {
+         g_sink = k.masked_dot_seq(0.0, w.data(), a.data(), n, true);
+       }},
+      {"choose_mul", [&](const simd::Kernels& k) {
+         k.choose_mul(w.data(), a.data(), b.data(), out.data(), n);
+       }},
+      {"butterfly", [&](const simd::Kernels& k) {
+         k.butterfly(lo.data(), hi.data(), tw.data(), n);
+       }},
+  };
+
+  const std::size_t calls = n >= 65536 ? 1 : 65536 / n;
+  const std::string size = "n=" + std::to_string(n);
+  const auto time_on = [&](const std::string& name,
+                           const Call& call) -> rcr::bench::Record& {
+    const simd::Kernels& k = simd::active();
+    rcr::bench::Record& rec = h.run(name, size, reps, [&] {
+      for (std::size_t c = 0; c < calls; ++c) call(k);
+    });
+    rec.ns_op /= static_cast<double>(calls);
+    rec.allocs_op /= static_cast<double>(calls);
+    return rec;
+  };
+  for (const auto& [name, call] : entries) {
+    double scalar_ns = 0.0;
+    {
+      simd::ForceScalarGuard scalar;
+      scalar_ns = time_on(std::string(name) + "/scalar", call).ns_op;
+    }
+    time_on(std::string(name) + "/simd", call).baseline_ns = scalar_ns;
+  }
+}
+
 }  // namespace
 
 int main() {
@@ -79,28 +169,9 @@ int main() {
   Rng rng(7);
 
   // --- kernel layer: active table vs forced-scalar -----------------------
-  {
-    const std::size_t len = smoke ? 1024 : 4096;
-    const Vec a = rng.normal_vec(len);
-    const Vec b = rng.normal_vec(len);
-    Vec c(len, 0.0);
-    const std::string size = "len=" + std::to_string(len);
-    const int kreps = reps * 64;
-
-    const auto dot = [&] {
-      g_sink = simd::active().dot_seq(0.0, a.data(), b.data(), len);
-    };
-    const auto axpy = [&] {
-      simd::active().axpy(1.0 + 1e-9, a.data(), c.data(), len);
-    };
-    h.run("dot/simd", size, kreps, dot);
-    h.run("axpy/simd", size, kreps, axpy);
-    {
-      simd::ForceScalarGuard scalar;
-      h.run("dot/scalar", size, kreps, dot);
-      h.run("axpy/scalar", size, kreps, axpy);
-    }
-  }
+  for (const std::size_t n : {std::size_t{12}, std::size_t{96},
+                              std::size_t{4096}})
+    sweep_kernels(h, n, reps * 16);
   {
     const std::size_t n = smoke ? 48 : 96;
     Rng mrng(11);
@@ -154,10 +225,6 @@ int main() {
 
     h.run("admm_boxqp/off", size, reps,
           [&] { rcr::opt::admm_box_qp(p, q, lo, hi); });
-    rcr::opt::AdmmOptions mixed;
-    mixed.mixed_precision = true;
-    h.run("admm_boxqp/mixed", size, reps,
-          [&] { rcr::opt::admm_box_qp(p, q, lo, hi, mixed); });
   }
   {
     const std::size_t n = smoke ? 6 : 12;

@@ -14,7 +14,6 @@
 
 #include "rcr/numerics/decompositions.hpp"
 #include "rcr/numerics/eigen.hpp"
-#include "rcr/numerics/mixed.hpp"
 #include "rcr/opt/quadratic.hpp"
 #include "rcr/opt/warm.hpp"
 #include "rcr/robust/budget.hpp"
@@ -55,12 +54,6 @@ struct SdpOptions {
   /// inside the projection (see num::PsdProjectOptions::rotation_threshold).
   /// 0 keeps the exact legacy sweep.
   double projection_rotation_threshold = 0.0;
-  /// Solve the per-iteration KKT system with an fp32 LU factor plus fp64
-  /// iterative refinement (num::refine_solve).  Off by default; the fp64
-  /// path is bit-identical with this off.  Ignored when exploit_structure
-  /// is set (the m x m Schur solve is already cheap in fp64).  Falls back
-  /// to fp64 when the fp32 factor is singular or refinement stalls.
-  bool mixed_precision = false;
   /// Exploit the arrow structure of the KKT system [rho*I, M^T; M, 0]:
   /// eliminate the block-diagonal to an m x m Schur complement
   /// (M M^T / rho + ridge*I) instead of factoring the dense
@@ -78,8 +71,6 @@ struct SdpOptions {
 struct SdpWorkspace {
   num::PsdProjectWorkspace projection;
   num::LuDecomposition kkt;      ///< Dense KKT factor.
-  num::FloatLu kkt_f;            ///< fp32 KKT factor (mixed_precision).
-  num::RefineWorkspace refine;
   num::LuDecomposition gram_lu;  ///< Schur-complement factor (structured).
   Matrix big;                    ///< Dense KKT matrix.
   Matrix mrows;                  ///< m x dim_y affine rows (structured).
@@ -113,9 +104,6 @@ struct SdpResult {
   double primal_residual = 0.0;  ///< Constraint + cone violation at exit.
   std::size_t iterations = 0;
   bool converged = false;
-  /// Total fp64 refinement corrections across all KKT solves (0 unless
-  /// mixed_precision was on and the fp32 path was used).
-  std::size_t refine_iterations = 0;
   /// Runtime disposition: kOk on convergence, kNonConverged on iteration
   /// exhaustion, kDegraded when the KKT ridge ladder had to fire (trail
   /// records each rung), kSingular when it was exhausted,

@@ -174,21 +174,6 @@ SdpResult solve_sdp(const Sdp& problem, const SdpOptions& options,
     }
   }
 
-  // Opt-in mixed precision on the dense path: fp32 LU of the KKT matrix,
-  // fp64 residual refinement per solve.  Degrades to fp64 when fp32
-  // underflows the factorization to singularity.
-  bool use_mixed = false;
-  if (options.mixed_precision && !structured) {
-    num::float_lu_into(ws.big, ws.kkt_f);
-    if (ws.kkt_f.singular)
-      result.status.note("fp32 KKT factor singular; running fp64 solves");
-    else
-      use_mixed = true;
-  }
-  constexpr double kRefineTol = 1e-12;
-  constexpr int kRefineMaxIters = 8;
-  bool refine_stalled = false;
-
   ws.cvec.assign(dim_y, 0.0);
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = 0; j < n; ++j) ws.cvec[i * n + j] = problem.c(i, j);
@@ -243,24 +228,7 @@ SdpResult solve_sdp(const Sdp& problem, const SdpOptions& options,
       rhs[i] = rho * (z[i] - u[i]) - cvec[i];
     if (!structured) {
       for (std::size_t i = 0; i < m; ++i) rhs[dim_y + i] = d[i];
-      if (use_mixed) {
-        const int refined =
-            num::refine_solve(ws.big, ws.kkt_f, rhs, ws.sol, kRefineTol,
-                              kRefineMaxIters, ws.refine);
-        if (refined < 0) {
-          if (!refine_stalled) {
-            result.status.note(
-                "mixed-precision refinement stalled at iteration " +
-                std::to_string(it + 1) + "; fp64 fallback for this solve");
-            refine_stalled = true;
-          }
-          ws.kkt.solve_into(rhs, ws.sol);
-        } else {
-          result.refine_iterations += static_cast<std::size_t>(refined);
-        }
-      } else {
-        ws.kkt.solve_into(rhs, ws.sol);
-      }
+      ws.kkt.solve_into(rhs, ws.sol);
       if (faults_on && !ws.sol.empty() &&
           robust::faults::should_inject("sdp.iterate.nan"))
         ws.sol[0] = std::numeric_limits<double>::quiet_NaN();
@@ -371,8 +339,6 @@ SdpResult solve_sdp(const Sdp& problem, const SdpOptions& options,
   result.primal_residual = viol;
   obs::counter_add("rcr.sdp.solves");
   obs::counter_add("rcr.sdp.iterations", result.iterations);
-  if (result.refine_iterations > 0)
-    obs::counter_add("rcr.sdp.refine_iters", result.refine_iterations);
   span.attr("iterations", static_cast<double>(result.iterations));
   span.attr("converged", result.converged ? 1.0 : 0.0);
   span.attr("primal_residual", result.primal_residual);

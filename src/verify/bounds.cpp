@@ -200,6 +200,10 @@ ReluRelax relax_neuron(double l, double u) {
 }
 
 struct CrownEngine {
+  CrownEngine(const ReluNetwork& net_in, const Box& input_in,
+              const PhaseAssignment* phases_in, const AlphaAssignment* alpha_in)
+      : net(net_in), input(input_in), phases(phases_in), alpha(alpha_in) {}
+
   const ReluNetwork& net;
   const Box& input;
   const PhaseAssignment* phases;  // may be null
@@ -370,7 +374,7 @@ LayerBounds crown_bounds(const ReluNetwork& net, const Box& input) {
   input.validate();
   obs::Span span("verify.crown");
   obs::counter_add("rcr.verify.crown_passes");
-  CrownEngine engine{net, input, nullptr, nullptr, {}, false};
+  CrownEngine engine(net, input, nullptr, nullptr);
   return engine.run();
 }
 
@@ -380,7 +384,7 @@ LayerBounds crown_bounds_with_phases(const ReluNetwork& net, const Box& input,
   input.validate();
   obs::Span span("verify.crown");
   obs::counter_add("rcr.verify.crown_passes");
-  CrownEngine engine{net, input, &phases, nullptr, {}, false};
+  CrownEngine engine(net, input, &phases, nullptr);
   return engine.run();
 }
 
@@ -395,7 +399,7 @@ LayerBounds crown_bounds_with_alpha(const ReluNetwork& net, const Box& input,
             "crown_bounds_with_alpha: alpha outside [0, 1]");
   obs::Span span("verify.crown");
   obs::counter_add("rcr.verify.crown_passes");
-  CrownEngine engine{net, input, nullptr, &alpha, {}, false};
+  CrownEngine engine(net, input, nullptr, &alpha);
   return engine.run();
 }
 
