@@ -16,9 +16,9 @@
 //
 // Inference reads only const flat weight structs and writes caller storage:
 // it is a pure function of (problem, weights), safe to call concurrently
-// from the serve fan-out and bit-exact across RCR_THREADS.  Training-side
-// conversion to/from an rcr::nn::Sequential lives in train.hpp; this header
-// stays dependency-light so rcr_serve can link it.
+// and bit-exact across RCR_THREADS.  Training-side conversion to/from an
+// rcr::nn::Sequential lives in train.hpp; this header stays
+// dependency-light.
 #pragma once
 
 #include <cstdint>

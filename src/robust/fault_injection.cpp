@@ -50,10 +50,6 @@ const std::vector<std::string>& site_registry() {
       "serve.admit.shed",       // shed an admitted cell in the tick plan
       "serve.breaker.trip",     // fail the ADMM step to exercise breakers
       "serve.solve.corrupt",    // poison solve output to trip the watchdog
-      // Learned-head site (stamp-keyed; effective only when the learned
-      // warm-start head is armed): corrupts the predictor's output so the
-      // warm-start contract's rejection path is exercised end to end.
-      "learn.head.corrupt",     // poison the learned warm-start prediction
   };
   return kSites;
 }

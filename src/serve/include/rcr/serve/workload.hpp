@@ -95,9 +95,9 @@ class DiurnalWorkload {
 /// Sample the per-cell power QPs a serve run would solve over the first
 /// `ticks` ticks of a DiurnalWorkload(config): best-gain assignment +
 /// Taylor coefficients, built exactly the way solve_cell builds them.
-/// This is the training/eval dataset for the learned warm-start head --
-/// generated here so the trainer sees the serving distribution without
-/// depending on the service itself.
+/// This is rcr::learn's offline training/eval dataset -- generated here so
+/// the trainer sees the distribution the service solves without depending
+/// on the service itself.
 std::vector<learn::PowerQpData> sample_power_qps(const WorkloadConfig& config,
                                                  std::size_t ticks,
                                                  double budget_penalty = 1.0);

@@ -6,7 +6,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "rcr/learn/artifact.hpp"
 #include "rcr/learn/qp.hpp"
 #include "rcr/obs/obs.hpp"
 #include "rcr/robust/fallback.hpp"
@@ -74,30 +73,6 @@ AllocationService::AllocationService(const ServiceConfig& config,
       brownout_(config.brownout) {
   if (num_cells == 0)
     throw std::invalid_argument("AllocationService: zero cells");
-  if (config_.learned.enabled && !config_.learned.artifact_path.empty()) {
-    robust::Result<learn::WarmStartPredictor> loaded =
-        learn::load_predictor(config_.learned.artifact_path);
-    if (loaded.status.ok()) {
-      predictor_ = std::move(loaded.value);
-      learned_armed_ = true;
-      obs::counter_add("rcr.learn.armed");
-    } else {
-      // A bad model file must never take serving down: record the failure
-      // and run with carried-state warm starts only.
-      learned_status_ = loaded.status;
-      obs::counter_add("rcr.learn.load_failed");
-    }
-  }
-}
-
-bool AllocationService::arm_learned_head(
-    const learn::WarmStartPredictor& predictor) {
-  if (!config_.learned.enabled || !predictor.shape_ok()) return false;
-  predictor_ = predictor;
-  learned_armed_ = true;
-  learned_status_ = robust::Status{};
-  obs::counter_add("rcr.learn.armed");
-  return true;
 }
 
 void AllocationService::reset_warm_states() {
@@ -136,89 +111,18 @@ CellAllocation AllocationService::solve_cell(const RraProblem& problem,
   // with a soft penalty lambda (1^T d)^2 holding the total at the budget and
   // the box d in [-p0, budget - p0] keeping p nonnegative and bounded.
   const double p0 = budget / static_cast<double>(n);
+  Vec q(n), lo(n, -p0), hi(n, budget - p0);
   double* curv = rt::tls_arena().alloc<double>(n);
-  double* slope = rt::tls_arena().alloc<double>(n);
   const double max_curv =
-      learn::power_qp_coeffs(gains.data(), n, p0, curv, slope);
+      learn::power_qp_coeffs(gains.data(), n, p0, curv, q.data());
   const double lambda =
       config_.budget_penalty * (max_curv > 0.0 ? max_curv : 1.0);
 
   Matrix p_mat(n, n, 2.0 * lambda);
-  Vec q(n), lo(n, -p0), hi(n, budget - p0);
-  for (std::size_t rb = 0; rb < n; ++rb) {
-    p_mat(rb, rb) += curv[rb];
-    q[rb] = slope[rb];
-  }
+  for (std::size_t rb = 0; rb < n; ++rb) p_mat(rb, rb) += curv[rb];
 
   opt::AdmmWarmState* warm =
       config_.warm_start ? &warm_[cell] : nullptr;
-
-  // Learned warm-start head (DESIGN.md §16): predict a feasible starting
-  // point and seed ADMM with it when it deterministically beats the carried
-  // state's projected-gradient residual.  Everything here is a pure
-  // function of (problem, weights, carried state), so selection -- and
-  // therefore the served answer -- is bit-exact across RCR_THREADS.
-  opt::AdmmWarmState learned_state;
-  bool learned_injected = false;
-  bool learned_rejected = false;
-  if (learned_armed_ && warm != nullptr) {
-    obs::Span lspan("learn.predict");
-    learn::PowerQp qp;
-    qp.curv = curv;
-    qp.slope = slope;
-    qp.lo = lo.data();
-    qp.hi = hi.data();
-    qp.n = n;
-    qp.lambda = lambda;
-    qp.p0 = p0;
-    qp.budget = budget;
-    qp.max_curv = max_curv;
-    double* lz = rt::tls_arena().alloc<double>(n);
-    double* lu = rt::tls_arena().alloc<double>(n);
-    double* lscratch = rt::tls_arena().alloc<double>(2 * n);
-    learn::predict_warm_start(qp, predictor_, config_.admm_rho, lz, lu,
-                              lscratch);
-    obs::counter_add("rcr.learn.predicts");
-    if (faults::should_inject("learn.head.corrupt", stamp)) {
-      // Model the whole prediction going bad, not one coordinate: poison
-      // both vectors so any consumer that skipped validation would be
-      // loudly wrong.
-      const double nan = std::numeric_limits<double>::quiet_NaN();
-      for (std::size_t i = 0; i < n; ++i) {
-        lz[i] = nan;
-        lu[i] = nan;
-      }
-    }
-    bool finite = true;
-    for (std::size_t i = 0; i < n && finite; ++i)
-      finite = std::isfinite(lz[i]) && std::isfinite(lu[i]);
-    if (!finite) {
-      // Same disposition the opt layer gives a corrupt carried state: the
-      // prediction is discarded and the solve proceeds as if the head had
-      // never run.
-      obs::counter_add("rcr.warm.rejected", "solver", "learn");
-      learned_rejected = true;
-    } else {
-      const double learned_resid = learn::pg_residual(qp, lz);
-      double incumbent_resid;
-      if (opt::detail::warm_vec_ok(warm->z, n)) {
-        incumbent_resid = learn::pg_residual(qp, warm->z.data());
-      } else {
-        // Cold start initializes z = clamp(0) = 0 (the box straddles 0).
-        double* zero = rt::tls_arena().alloc<double>(n);
-        for (std::size_t i = 0; i < n; ++i) zero[i] = 0.0;
-        incumbent_resid = learn::pg_residual(qp, zero);
-      }
-      if (learned_resid < config_.learned.select_margin * incumbent_resid) {
-        learned_state.z.assign(lz, lz + n);
-        learned_state.u.assign(lu, lu + n);
-        learned_injected = true;
-        obs::counter_add("rcr.learn.selected");
-      } else {
-        obs::counter_add("rcr.learn.bypassed");
-      }
-    }
-  }
 
   // Brownout cheapens the head: a BROWNOUT tick caps ADMM iterations, a
   // SHED tick gates the head off entirely.  The state only mutates at the
@@ -270,20 +174,11 @@ CellAllocation AllocationService::solve_cell(const RraProblem& problem,
              aopts.max_iterations = max_iterations;
              aopts.budget.deadline = deadline;
              aopts.budget.check_stride = 16;
-             opt::AdmmWarmState* start =
-                 learned_injected ? &learned_state : warm;
              opt::AdmmResult r = opt::admm_box_qp(p_mat, factor.value, q, lo,
-                                                  hi, aopts, start);
+                                                  hi, aopts, warm);
              if (!r.status.usable()) {
                out.status = r.status;
                return out;
-             }
-             if (learned_injected && warm != nullptr) {
-               // The evolved learned state becomes the cell's carried state
-               // (the solver's writeback landed in learned_state, cleared
-               // on numerical failure per the warm contract).
-               *warm = std::move(learned_state);
-               out.value.learned_start = true;
              }
              out.value.assignment = assignment;
              out.value.power.resize(n);
@@ -360,9 +255,6 @@ CellAllocation AllocationService::solve_cell(const RraProblem& problem,
     alloc.step = outcome.step;
     alloc.status = outcome.status;
   }
-  if (learned_rejected)
-    alloc.status.note(
-        "learned warm start rejected (non-finite); carried state kept");
   if (config_.watchdog.enabled &&
       faults::should_inject("serve.solve.corrupt", stamp)) {
     // Poison the solve output so the watchdog has something real to catch.
@@ -558,13 +450,13 @@ TickReport AllocationService::tick(std::size_t tick_index,
         ++report.solves;
         report.total_iterations += a.iterations;
         if (a.warm_use == opt::WarmUse::kAccepted) ++report.warm_accepted;
-        if (a.learned_start) ++report.learned_starts;
         if (a.step != "admm" && a.step != "cache") ++report.degraded;
         if (a.step == "deadline-fill") ++report.deadline_fills;
       }
       // Fallback-depth proxy for the brownout controller: one clean head
-      // answer is depth 1, every failed or gated step adds one.
-      if (!a.cache_hit) {
+      // answer is depth 1, every failed or gated step adds one.  Only the
+      // controller reads it, so the trail scan runs only when it is on.
+      if (config_.brownout.enabled && !a.cache_hit) {
         ++chain_cells;
         std::size_t depth = 1;
         for (const std::string& line : a.status.trail)

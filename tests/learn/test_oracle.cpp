@@ -1,8 +1,8 @@
-// Differential-oracle battery fencing the learned warm-start head
-// (ISSUE satellite 1; extends the PR-8 warm-rejection counter tests).
+// Differential-oracle battery fencing the learned warm-start predictor
+// against the exact solver.
 //
-// Over 1k+ seeded serving problems the suite bounds the learned head three
-// ways against the exact solver:
+// Over 1k+ seeded serving problems the suite bounds the predictor three
+// ways:
 //  - feasibility: every projected prediction is inside the box, dual
 //    finite -- 100%, no tolerance games;
 //  - optimality gap: the predicted primal's objective is within a fixed
@@ -10,22 +10,19 @@
 //    it (the exact solve is the reference, not a competitor);
 //  - contract: ADMM warm-started from an accepted learned state converges
 //    to the same answer as a cold solve (bounded by the solver tolerance),
-//    a *corrupted* learned state is rejected bit-for-bit (the PR-8
-//    contract, now with solver=learn accounting at the serve layer), and
-//    the served answer with the head armed matches the head-off answer on
-//    assignment exactly and on power to solver tolerance.
+//    and a *corrupted* learned state is rejected bit-for-bit.
+// The problems come from serve::sample_power_qps; LearnDataset pins that
+// they are exactly the problems the service solves.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
-#include "../fan_out_leg.hpp"
 #include "rcr/learn/artifact.hpp"
 #include "rcr/learn/project.hpp"
 #include "rcr/learn/train.hpp"
-#include "rcr/obs/metrics.hpp"
 #include "rcr/opt/admm.hpp"
-#include "rcr/rt/parallel.hpp"
 #include "rcr/serve/service.hpp"
 #include "rcr/serve/workload.hpp"
 
@@ -64,12 +61,6 @@ opt::AdmmResult exact_solve(const PowerQpData& data,
   const opt::BoxQpFactor factor = opt::prefactor_box_qp(p, options.rho);
   return opt::admm_box_qp(p, factor, data.slope, data.lo, data.hi, options,
                           warm);
-}
-
-double solver_counter(const std::string& name, const std::string& solver) {
-  for (const obs::MetricSample& s : obs::metrics_snapshot())
-    if (s.name == name && s.label_value == solver) return s.value;
-  return 0.0;
 }
 
 TEST(LearnOracle, ThousandProblemFeasibilityAndGapSweep) {
@@ -159,85 +150,60 @@ TEST(LearnOracle, CorruptedLearnedStateIsRejectedBitForBit) {
     ASSERT_EQ(std::memcmp(&r.x[i], &cold.x[i], sizeof(double)), 0);
 }
 
-TEST(LearnOracle, ServedAnswersMatchLearnedHeadOff) {
-  // End-to-end differential oracle at the serve layer: same workload, one
-  // service with the head armed, one without.  The assignment step runs
-  // before the solver, so it must be *identical*; power converges to the
-  // same tolerance-bounded fixed point; nothing is ever rejected on a
-  // clean run.
-  obs::ScopedMetrics metrics;
-  serve::WorkloadConfig wc;
-  wc.num_cells = 6;
-  wc.seed = 4711;
-  serve::DiurnalWorkload wl_off(wc);
-  serve::DiurnalWorkload wl_on(wc);
-
-  serve::ServiceConfig off_cfg;
-  serve::ServiceConfig on_cfg;
-  on_cfg.learned.enabled = true;
-  serve::AllocationService off(off_cfg, wc.num_cells);
-  serve::AllocationService on(on_cfg, wc.num_cells);
-  ASSERT_TRUE(on.arm_learned_head(golden()));
-
-  std::size_t learned_starts = 0;
-  for (std::size_t t = 0; t < 24; ++t) {
-    wl_off.advance(t);
-    wl_on.advance(t);
-    const serve::TickReport r_off = off.tick(t, wl_off);
-    const serve::TickReport r_on = on.tick(t, wl_on);
-    EXPECT_EQ(r_off.cells, r_on.cells);
-    learned_starts += r_on.learned_starts;
-    for (std::size_t c = 0; c < wc.num_cells; ++c) {
-      const serve::CellAllocation& a = off.allocation(c);
-      const serve::CellAllocation& b = on.allocation(c);
-      ASSERT_EQ(a.assignment.size(), b.assignment.size());
-      for (std::size_t rb = 0; rb < a.assignment.size(); ++rb)
-        EXPECT_EQ(a.assignment[rb], b.assignment[rb])
-            << "tick " << t << " cell " << c << " rb " << rb;
-      ASSERT_EQ(a.power.size(), b.power.size());
-      for (std::size_t rb = 0; rb < a.power.size(); ++rb)
-        EXPECT_NEAR(a.power[rb], b.power[rb], 1e-5)
-            << "tick " << t << " cell " << c << " rb " << rb;
-    }
-  }
-  // The head actually fired, and nothing was ever rejected on clean runs.
-  EXPECT_GT(learned_starts, 0u);
-  EXPECT_EQ(solver_counter("rcr.warm.rejected", "learn"), 0.0);
-}
-
-TEST(LearnOracle, LearnedOnServiceBitExactAcrossThreadModes) {
-  const WarmStartPredictor predictor = golden();
+TEST(LearnDataset, SamplePowerQpsIsWhatServeSolves) {
+  // The offline dataset must be the serving distribution: a cold solve of
+  // sample_power_qps(wc, T)[t * cells + c] with the service's ADMM knobs
+  // reproduces what the service served for cell c at tick t.
   serve::WorkloadConfig wc;
   wc.num_cells = 4;
-  wc.seed = 31;
-  const auto run = [&](bool force_serial) {
-    std::vector<std::uint64_t> hashes;
-    serve::DiurnalWorkload wl(wc);
-    serve::ServiceConfig sc;
-    sc.learned.enabled = true;
-    serve::AllocationService service(sc, wc.num_cells);
-    EXPECT_TRUE(service.arm_learned_head(predictor));
-    for (std::size_t t = 0; t < 12; ++t) {
-      wl.advance(t);
-      if (force_serial) {
-        rt::ForceSerialGuard guard;
-        hashes.push_back(service.tick(t, wl).solution_hash);
-      } else {
-        hashes.push_back(service.tick(t, wl).solution_hash);
+  wc.seed = 4711;
+  constexpr std::size_t kTicks = 8;
+  const std::vector<PowerQpData> dataset =
+      serve::sample_power_qps(wc, kTicks);
+  ASSERT_EQ(dataset.size(), kTicks * wc.num_cells);
+
+  serve::ServiceConfig sc;
+  sc.warm_start = false;
+  sc.cache_enabled = false;
+  serve::DiurnalWorkload wl(wc);
+  serve::AllocationService service(sc, wc.num_cells);
+  std::size_t compared = 0;
+  for (std::size_t t = 0; t < kTicks; ++t) {
+    wl.advance(t);
+    service.tick(t, wl);
+    for (std::size_t c = 0; c < wc.num_cells; ++c) {
+      const serve::CellAllocation& served = service.allocation(c);
+      if (served.step != "admm") continue;
+      const PowerQpData& data = dataset[t * wc.num_cells + c];
+      const std::size_t n = data.n;
+      num::Matrix p(n, n, 2.0 * data.lambda);
+      for (std::size_t i = 0; i < n; ++i) p(i, i) += data.curv[i];
+      opt::AdmmOptions options;
+      options.rho = sc.admm_rho;
+      options.tolerance = sc.admm_tolerance;
+      options.max_iterations = sc.admm_max_iterations;
+      const opt::BoxQpFactor factor = opt::prefactor_box_qp(p, options.rho);
+      const opt::AdmmResult cold = opt::admm_box_qp(
+          p, factor, data.slope, data.lo, data.hi, options);
+      ASSERT_TRUE(cold.status.usable());
+      EXPECT_EQ(cold.iterations, served.iterations)
+          << "tick " << t << " cell " << c;
+
+      Vec power(n);
+      double total = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        power[i] = std::max(0.0, data.p0 + cold.x[i]);
+        total += power[i];
       }
+      ASSERT_GT(total, 0.0);
+      ASSERT_EQ(served.power.size(), n);
+      for (std::size_t i = 0; i < n; ++i)
+        EXPECT_NEAR(power[i] * (data.budget / total), served.power[i], 1e-12)
+            << "tick " << t << " cell " << c << " rb " << i;
+      ++compared;
     }
-    return hashes;
-  };
-  std::vector<std::uint64_t> parallel;
-  {
-    test_support::FanOutLeg leg;
-    parallel = run(false);
-    EXPECT_GT(leg.tasks(), 0u) << "parallel leg never dispatched";
   }
-  const std::vector<std::uint64_t> serial = run(true);
-  ASSERT_EQ(parallel.size(), serial.size());
-  for (std::size_t t = 0; t < parallel.size(); ++t)
-    EXPECT_EQ(parallel[t], serial[t]) << "tick " << t;
+  EXPECT_EQ(compared, kTicks * wc.num_cells);
 }
 
 }  // namespace

@@ -265,36 +265,6 @@ void run_serve_overload_workload() {
   }
 }
 
-void run_learn_workload() {
-  // learn.head.corrupt is inert unless the learned head is armed; arm it
-  // with a deterministic randomly-initialized predictor (no artifact file
-  // needed -- the contract under test is rejection, not model quality).
-  RCR_CHAOS_TRACE();
-  serve::WorkloadConfig wc;
-  wc.num_cells = 2;
-  wc.num_rbs = 5;
-  wc.min_users = 2;
-  wc.peak_users = 3;
-  wc.seed = 11;
-  serve::ServiceConfig sc;
-  sc.learned.enabled = true;
-  serve::DiurnalWorkload wl(wc);
-  serve::AllocationService service(sc, wc.num_cells);
-  ASSERT_TRUE(service.arm_learned_head(
-      learn::random_predictor(8, 2, sc.admm_rho, 77)));
-  for (std::size_t t = 0; t < 3; ++t) {
-    wl.advance(t);
-    const serve::TickReport report = service.tick(t, wl);
-    EXPECT_EQ(report.cells, wc.num_cells);
-    for (std::size_t c = 0; c < wc.num_cells; ++c) {
-      const serve::CellAllocation& a = service.allocation(c);
-      EXPECT_TRUE(a.status.usable()) << a.status.to_string();
-      EXPECT_TRUE(robust::all_finite(a.power)) << a.status.to_string();
-      EXPECT_EQ(a.power.size(), wc.num_rbs);
-    }
-  }
-}
-
 // Routes each site to a workload that passes through it.
 void run_workload_for_site(const std::string& site) {
   if (site.rfind("admm.", 0) == 0 || site == "numerics.lu.singular") {
@@ -322,8 +292,6 @@ void run_workload_for_site(const std::string& site) {
     run_serve_overload_workload();
   } else if (site.rfind("serve.", 0) == 0) {
     run_serve_workload();
-  } else if (site.rfind("learn.", 0) == 0) {
-    run_learn_workload();
   } else if (site.rfind("stack.", 0) == 0) {
     // The full stack is exercised by its own test below (expensive); here
     // the site's glob simply must not break the cheap workloads.
@@ -364,7 +332,6 @@ TEST(Chaos, InjectionsActuallyFireAtCoreSites) {
       {"serve.admit.shed", &run_serve_overload_workload},
       {"serve.breaker.trip", &run_serve_overload_workload},
       {"serve.solve.corrupt", &run_serve_overload_workload},
-      {"learn.head.corrupt", &run_learn_workload},
   };
   for (const auto& [site, workload] : wired) {
     SCOPED_TRACE(std::string("site: ") + site);
