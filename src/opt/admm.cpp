@@ -1,7 +1,9 @@
 #include "rcr/opt/admm.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -26,19 +28,89 @@ Vec soft_threshold(const Vec& v, double kappa) {
   return out;
 }
 
+namespace {
+
+// Diagonal-plus-constant test for P + shift I: every off-diagonal entry of P
+// bit-equal to one finite c >= 0 and every d_i = p_ii - c + shift finite and
+// > 0 (with 1/d_i finite).  On success fills out.inv_d = 1/d, out.c and
+// out.gamma = c / (1 + c sum 1/d_i); on failure out.inv_d stays empty and
+// the caller takes the LU path.
+bool factor_diag_plus_const(const Matrix& p, double shift, BoxQpFactor& out) {
+  const std::size_t n = p.rows();
+  if (n == 0 || p.cols() != n) return false;
+  const double c = n > 1 ? p(0, 1) : 0.0;
+  if (!std::isfinite(c) || !(c >= 0.0)) return false;
+  const auto c_bits = std::bit_cast<std::uint64_t>(c);
+  const double* a = p.data().data();
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t j = 0; j < n; ++j)
+      if (i != j && std::bit_cast<std::uint64_t>(a[i * n + j]) != c_bits)
+        return false;
+  Vec inv_d(n);
+  double sum = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double d = (a[i * n + i] - c) + shift;
+    inv_d[i] = 1.0 / d;
+    if (!(d > 0.0) || !std::isfinite(d) || !std::isfinite(inv_d[i]))
+      return false;
+    sum += inv_d[i];
+  }
+  const double gamma = c / (1.0 + c * sum);
+  if (!std::isfinite(gamma)) return false;
+  out.inv_d = std::move(inv_d);
+  out.c = c;
+  out.gamma = gamma;
+  return true;
+}
+
+}  // namespace
+
+void BoxQpFactor::solve_into(const Vec& b, Vec& x) const {
+  if (!diag_plus_const()) {
+    factor.solve_into(b, x);
+    return;
+  }
+  const std::size_t n = inv_d.size();
+  if (b.size() != n)
+    throw std::invalid_argument("BoxQpFactor::solve_into: size mismatch");
+  // Sherman-Morrison on D + c 1 1^T: t = c 1^T x = gamma 1^T D^-1 b, then
+  // x = D^-1 (b - t 1).
+  x.resize(n);
+  double sum_y = 0.0;
+  for (std::size_t i = 0; i < n; ++i) sum_y += inv_d[i] * b[i];
+  const double t = gamma * sum_y;
+  double sum_x = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    x[i] = inv_d[i] * (b[i] - t);
+    sum_x += x[i];
+  }
+  if (c == 0.0) return;
+  // For x built from t the residual (D + c 1 1^T) x - b is exactly
+  // (c 1^T x - t) 1.  One correction of t by that residual over
+  // 1 + c sum 1/d = c / gamma keeps the solve backward stable when
+  // c sum 1/d >> 1, where the rounding of t alone would dominate.
+  const double dt = (c * sum_x - t) * (gamma / c);
+  for (std::size_t i = 0; i < n; ++i) x[i] -= dt * inv_d[i];
+}
+
 robust::Result<BoxQpFactor> try_prefactor_box_qp(const Matrix& p, double rho,
                                                  double ridge) {
-  // x-update solves (P + rho I) x = rho (z - u) - q; factor once.  The
-  // shifted matrix is moved straight into the decomposition -- no second
-  // copy beyond the one the factorization itself owns.
-  Matrix m = p;
-  for (std::size_t i = 0; i < m.rows(); ++i) m(i, i) += rho + ridge;
+  // x-update solves (P + rho I) x = rho (z - u) - q; factor once.  A
+  // diagonal-plus-constant P keeps O(n) Sherman-Morrison data; any other P
+  // is LU-factored, the shifted matrix moved straight into the
+  // decomposition -- no second copy beyond the one the factorization owns.
   robust::Result<BoxQpFactor> out;
-  out.value.factor = num::lu_decompose(std::move(m));
   out.value.rho = rho;
+  if (!factor_diag_plus_const(p, rho + ridge, out.value)) {
+    Matrix m = p;
+    for (std::size_t i = 0; i < m.rows(); ++i) m(i, i) += rho + ridge;
+    out.value.factor = num::lu_decompose(std::move(m));
+  }
   if (robust::faults::enabled() &&
-      robust::faults::should_inject("admm.factor.singular"))
+      robust::faults::should_inject("admm.factor.singular")) {
     out.value.factor.singular = true;
+    out.value.inv_d.clear();
+  }
   if (out.value.factor.singular)
     out.status = robust::make_status(
         robust::StatusCode::kSingular,
@@ -168,7 +240,7 @@ AdmmResult admm_box_qp(const Matrix& p, const BoxQpFactor& factor,
     }
     for (std::size_t i = 0; i < n; ++i)
       rhs[i] = options.rho * (z[i] - u[i]) - q[i];
-    factor.factor.solve_into(rhs, x);
+    factor.solve_into(rhs, x);
     if (faults_on && !x.empty() &&
         robust::faults::should_inject("admm.iterate.nan"))
       x[0] = std::numeric_limits<double>::quiet_NaN();

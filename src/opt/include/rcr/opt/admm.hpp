@@ -29,13 +29,33 @@ struct AdmmOptions {
   std::size_t max_factor_retries = 4;
 };
 
-/// Cached x-update operator for admm_box_qp: the LU factors of P + rho I.
-/// Build once with prefactor_box_qp and reuse across solves with the same P
-/// and rho -- repeated calls then skip the per-call matrix copy and
-/// refactorization entirely.
+/// Cached x-update operator for admm_box_qp: the inverse of P + rho I in
+/// one of two forms, chosen from P's structure.  Build once with
+/// prefactor_box_qp and reuse across solves with the same P and rho --
+/// repeated calls then skip the per-call matrix copy and refactorization
+/// entirely.
+///
+/// Diagonal-plus-constant P (every off-diagonal entry bit-equal to one
+/// finite c >= 0, every d_i = p_ii - c + rho + ridge finite and > 0, as the
+/// serve power QP is by construction): P + rho I = D + c 1 1^T is kept as
+/// 1/d, c and the Sherman-Morrison weight gamma, and a solve costs O(n).
+/// Any other P keeps the LU factors and O(n^2) triangular solves.
 struct BoxQpFactor {
-  num::LuDecomposition factor;  ///< LU of P + rho I.
+  num::LuDecomposition factor;  ///< LU of P + rho I (general P only).
   double rho = 0.0;             ///< The rho the factor was built with.
+  /// 1/d_i of the diagonal-plus-constant form; empty on the LU path.
+  Vec inv_d;
+  double c = 0.0;      ///< The off-diagonal constant c.
+  /// Sherman-Morrison weight c / (1 + c sum_i 1/d_i).
+  double gamma = 0.0;
+
+  /// True when the O(n) diagonal-plus-constant form is in use.
+  bool diag_plus_const() const { return !inv_d.empty(); }
+
+  /// Solve (P + rho I) x = b into `x` (resized, storage reused -- zero
+  /// allocations once warm).  `x` must not alias `b`.  Throws
+  /// std::runtime_error on an unusable (singular) factor.
+  void solve_into(const Vec& b, Vec& x) const;
 };
 
 /// Factor P + rho I for the box-QP x-update.  Throws std::runtime_error when
@@ -44,7 +64,8 @@ BoxQpFactor prefactor_box_qp(const Matrix& p, double rho);
 
 /// Non-throwing factor: status kSingular (with the factor left unusable)
 /// instead of the throw.  `ridge` adds an extra diagonal shift beyond rho
-/// (the escalating-regularization retry path).
+/// (the escalating-regularization retry path).  The form (diagonal plus
+/// constant or LU, see BoxQpFactor) is re-chosen for every (rho, ridge).
 robust::Result<BoxQpFactor> try_prefactor_box_qp(const Matrix& p, double rho,
                                                  double ridge = 0.0);
 

@@ -21,6 +21,14 @@
 // tick's parallel fan-out with begin_deferred()/flush(), making eviction
 // order and hit/miss outcomes bit-identical for every RCR_THREADS setting.
 //
+// Each shard keeps its entries in a hash map plus a binary min-heap of
+// pointers to them ordered by (stamp, key), so the eviction victim is the
+// heap's root: O(log n) instead of a scan of the shard.  A full shard's
+// evicting insert re-keys the victim's map node (C++17 extract/insert) and
+// a stamp refresh only sifts, so the steady state allocates nothing inside
+// the cache.  The heap is one contiguous array, so the index costs no
+// allocation per entry.
+//
 // Counters (armed registry only): rcr.serve.cache.hits / .misses /
 // .evictions / .insertions.
 #pragma once
@@ -29,6 +37,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -82,9 +91,9 @@ class ShardedLruCache {
       return false;
     }
     if (deferred_)
-      shard.pending.push_back(PendingOp{stamp, key, false, V{}});
+      shard.pending.push_back(PendingOp{stamp, key, std::nullopt});
     else
-      it->second.stamp = stamp;
+      restamp(shard, *it, stamp);
     out = it->second.value;
     ++shard.hits;
     obs::counter_add("rcr.serve.cache.hits");
@@ -99,7 +108,7 @@ class ShardedLruCache {
     Shard& shard = shard_for(key);
     std::lock_guard<std::mutex> lock(shard.mu);
     if (deferred_) {
-      shard.pending.push_back(PendingOp{stamp, key, true, std::move(value)});
+      shard.pending.push_back(PendingOp{stamp, key, std::move(value)});
       return;
     }
     apply_put(shard, key, stamp, std::move(value));
@@ -126,11 +135,11 @@ class ShardedLruCache {
                                             : a.key < b.key;
                 });
       for (PendingOp& op : shard.pending) {
-        if (op.insert) {
-          apply_put(shard, op.key, op.stamp, std::move(op.value));
+        if (op.value) {
+          apply_put(shard, op.key, op.stamp, std::move(*op.value));
         } else {
           auto it = shard.map.find(op.key);
-          if (it != shard.map.end()) it->second.stamp = op.stamp;
+          if (it != shard.map.end()) restamp(shard, *it, op.stamp);
         }
       }
       shard.pending.clear();
@@ -144,6 +153,7 @@ class ShardedLruCache {
     for (auto& shard : shards_) {
       std::lock_guard<std::mutex> lock(shard->mu);
       shard->map.clear();
+      shard->heap.clear();
       shard->pending.clear();
     }
   }
@@ -168,16 +178,25 @@ class ShardedLruCache {
   struct Entry {
     std::uint64_t stamp = 0;
     V value{};
+    std::size_t heap_pos = 0;  ///< This entry's index in Shard::heap.
   };
+  using Map = std::unordered_map<std::uint64_t, Entry>;
+  /// A map element; its address is stable across rehashes and across the
+  /// extract/insert that re-keys it.
+  using Node = typename Map::value_type;
   struct PendingOp {
     std::uint64_t stamp = 0;
     std::uint64_t key = 0;
-    bool insert = false;  ///< false: stamp refresh from a deferred get.
-    V value{};
+    /// The buffered insert's value; empty for a deferred get's stamp
+    /// refresh, which therefore constructs no V.
+    std::optional<V> value;
   };
   struct Shard {
     mutable std::mutex mu;
-    std::unordered_map<std::uint64_t, Entry> map;
+    Map map;
+    /// Min-heap of every map element by (stamp, key); heap[0] is the
+    /// eviction victim.
+    std::vector<Node*> heap;
     std::vector<PendingOp> pending;
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
@@ -185,28 +204,78 @@ class ShardedLruCache {
     std::uint64_t insertions = 0;
   };
 
+  /// The victim order: smaller stamp first, ties to the smaller key.
+  static bool older(const Node* a, const Node* b) {
+    return a->second.stamp != b->second.stamp
+               ? a->second.stamp < b->second.stamp
+               : a->first < b->first;
+  }
+
+  static void place(std::vector<Node*>& heap, std::size_t i, Node* node) {
+    heap[i] = node;
+    node->second.heap_pos = i;
+  }
+
+  static void sift_up(std::vector<Node*>& heap, std::size_t i) {
+    Node* node = heap[i];
+    while (i > 0 && older(node, heap[(i - 1) / 2])) {
+      place(heap, i, heap[(i - 1) / 2]);
+      i = (i - 1) / 2;
+    }
+    place(heap, i, node);
+  }
+
+  static void sift_down(std::vector<Node*>& heap, std::size_t i) {
+    Node* node = heap[i];
+    for (;;) {
+      std::size_t child = 2 * i + 1;
+      if (child >= heap.size()) break;
+      if (child + 1 < heap.size() && older(heap[child + 1], heap[child]))
+        ++child;
+      if (!older(heap[child], node)) break;
+      place(heap, i, heap[child]);
+      i = child;
+    }
+    place(heap, i, node);
+  }
+
+  /// Move an entry to a new stamp in the heap; the shard mutex must be held.
+  static void restamp(Shard& shard, Node& node, std::uint64_t stamp) {
+    const std::uint64_t old = node.second.stamp;
+    node.second.stamp = stamp;
+    if (stamp < old)
+      sift_up(shard.heap, node.second.heap_pos);
+    else if (stamp > old)
+      sift_down(shard.heap, node.second.heap_pos);
+  }
+
   /// Insert/overwrite with LRU eviction; the shard mutex must be held.
   void apply_put(Shard& shard, std::uint64_t key, std::uint64_t stamp,
                  V value) {
     auto it = shard.map.find(key);
     if (it != shard.map.end()) {
-      it->second.stamp = stamp;
+      restamp(shard, *it, stamp);
       it->second.value = std::move(value);
       return;
     }
     if (shard.map.size() >= per_shard_capacity_) {
-      auto victim = shard.map.begin();
-      for (auto cur = shard.map.begin(); cur != shard.map.end(); ++cur) {
-        if (cur->second.stamp < victim->second.stamp ||
-            (cur->second.stamp == victim->second.stamp &&
-             cur->first < victim->first))
-          victim = cur;
-      }
-      shard.map.erase(victim);
+      // The victim (smallest stamp, ties to smaller key) is the heap's
+      // root; its map node is re-keyed for the new entry and stays at the
+      // root (the pointer taken before extract() stays valid) until the
+      // sift restores the heap.
+      auto node = shard.map.extract(shard.heap[0]->first);
+      node.key() = key;
+      node.mapped().stamp = stamp;
+      node.mapped().value = std::move(value);
+      shard.map.insert(std::move(node));
+      sift_down(shard.heap, 0);
       ++shard.evictions;
       obs::counter_add("rcr.serve.cache.evictions");
+    } else {
+      auto inserted = shard.map.emplace(key, Entry{stamp, std::move(value)});
+      shard.heap.push_back(&*inserted.first);
+      sift_up(shard.heap, shard.heap.size() - 1);
     }
-    shard.map.emplace(key, Entry{stamp, std::move(value)});
     ++shard.insertions;
     obs::counter_add("rcr.serve.cache.insertions");
   }

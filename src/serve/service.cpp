@@ -118,6 +118,8 @@ CellAllocation AllocationService::solve_cell(const RraProblem& problem,
   const double lambda =
       config_.budget_penalty * (max_curv > 0.0 ? max_curv : 1.0);
 
+  // Diagonal plus one constant: try_prefactor_box_qp detects the shape and
+  // keeps an O(n) Sherman-Morrison x-update instead of LU (DESIGN.md §12).
   Matrix p_mat(n, n, 2.0 * lambda);
   for (std::size_t rb = 0; rb < n; ++rb) p_mat(rb, rb) += curv[rb];
 

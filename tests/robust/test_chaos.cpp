@@ -385,16 +385,25 @@ TEST(Chaos, PsoQuarantinesNanParticlesDeterministically) {
 }
 
 TEST(Chaos, AdmmSingularFactorWalksTheRidgeLadder) {
-  faults::ScopedFaults scope(spec_for("admm.factor.singular", ",max=1"));
-  RCR_CHAOS_TRACE();
   num::Rng rng(3);
-  const num::Matrix p = opt::random_psd(4, 4, rng) + num::Matrix::identity(4);
+  num::Matrix dense = opt::random_psd(4, 4, rng) + num::Matrix::identity(4);
+  // Diagonal plus a constant: the O(n) x-update branch of the same site.
+  num::Matrix structured(4, 4, 0.5);
+  for (std::size_t i = 0; i < 4; ++i) structured(i, i) += 1.0 + i;
   const Vec q = rng.normal_vec(4);
-  const opt::AdmmResult r =
-      opt::admm_box_qp(p, q, Vec(4, -1.0), Vec(4, 1.0));
-  EXPECT_TRUE(r.status.usable()) << r.status.to_string();
-  EXPECT_FALSE(r.status.trail.empty()) << r.status.to_string();
-  EXPECT_TRUE(robust::all_finite(r.x));
+  for (const num::Matrix* p : {&dense, &structured}) {
+    SCOPED_TRACE(p == &dense ? "LU branch" : "diagonal-plus-constant branch");
+    EXPECT_EQ(opt::prefactor_box_qp(*p, 1.0).diag_plus_const(),
+              p == &structured);
+    faults::ScopedFaults scope(spec_for("admm.factor.singular", ",max=1"));
+    RCR_CHAOS_TRACE();
+    const opt::AdmmResult r =
+        opt::admm_box_qp(*p, q, Vec(4, -1.0), Vec(4, 1.0));
+    EXPECT_EQ(faults::injection_count("admm.factor.singular"), 1u);
+    EXPECT_TRUE(r.status.usable()) << r.status.to_string();
+    EXPECT_FALSE(r.status.trail.empty()) << r.status.to_string();
+    EXPECT_TRUE(robust::all_finite(r.x));
+  }
 }
 
 TEST(Chaos, SdpKktInjectionDrivesLeastSquaresRecovery) {
