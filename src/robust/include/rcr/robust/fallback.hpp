@@ -10,7 +10,9 @@
 // produced it.
 #pragma once
 
+#include <bitset>
 #include <functional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,6 +23,12 @@
 
 namespace rcr::robust {
 
+/// Most steps one chain may hold (the width of the ChainOutcome masks).
+inline constexpr std::size_t kMaxChainSteps = 32;
+
+/// One bit per chain step; bit i is the i-th step added.
+using StepMask = std::bitset<kMaxChainSteps>;
+
 /// Outcome of running a chain.
 template <typename T>
 struct ChainOutcome {
@@ -29,6 +37,11 @@ struct ChainOutcome {
   std::string step;        ///< Name of the step that produced `value`.
   Soundness soundness = Soundness::kHeuristic;  ///< Of the winning step.
   std::size_t attempts = 0;  ///< Steps actually executed.
+  /// One bit per "failed" / "skipped" trail line: the step ran and did not
+  /// fully succeed (a banked winner keeps its bit) / its gate turned it away.
+  /// Steps the deadline cut off or the chain never reached set neither.
+  StepMask failed;
+  StepMask skipped;
 };
 
 /// Ordered list of solver attempts, tightest first.
@@ -49,16 +62,18 @@ class FallbackChain {
 
   /// Append a step.  Steps run in insertion order.
   FallbackChain& add(std::string name, Soundness soundness, StepFn run) {
-    steps_.push_back({std::move(name), soundness, nullptr, std::move(run)});
-    return *this;
+    return add_gated(std::move(name), soundness, nullptr, std::move(run));
   }
 
   /// Append a gated step: `gate` is consulted before each run, and a
   /// non-null reason skips the step without executing it (no attempt, no
   /// degradation counter -- a skip is a policy decision, not a failure).
   /// Circuit breakers plug in here.
+  /// Throws std::length_error past kMaxChainSteps steps.
   FallbackChain& add_gated(std::string name, Soundness soundness, GateFn gate,
                            StepFn run) {
+    if (steps_.size() == kMaxChainSteps)
+      throw std::length_error("FallbackChain: more than kMaxChainSteps steps");
     steps_.push_back({std::move(name), soundness, std::move(gate),
                       std::move(run)});
     return *this;
@@ -106,6 +121,7 @@ class FallbackChain {
           // trail still records the decision so graders can audit it.
           out.status.note("step '" + step.name + "' skipped (" +
                           std::string(reason) + ")");
+          out.skipped.set(i);
           obs::counter_add("rcr.fallback.skipped", "chain", name_);
           continue;
         }
@@ -123,6 +139,7 @@ class FallbackChain {
       }
       out.status.note("step '" + step.name + "' failed (" +
                       r.status.to_string() + ")");
+      out.failed.set(i);
       // One degradation step == one counter increment (chaos contract).
       obs::counter_add("rcr.fallback.degraded", "chain", name_);
       obs::instant("fallback.degraded", "chain", name_);
@@ -138,6 +155,8 @@ class FallbackChain {
     if (have_banked) {
       ChainOutcome<T> degraded = std::move(banked);
       degraded.attempts = out.attempts;
+      degraded.failed = out.failed;
+      degraded.skipped = out.skipped;
       Status merged = make_status(
           StatusCode::kDegraded,
           "no step fully converged; returning usable result from '" +

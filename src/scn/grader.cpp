@@ -40,18 +40,6 @@ bool finite_nonnegative(const Vec& power) {
   return true;
 }
 
-// Failed *or gated-off* steps both count as "the sound step did not answer
-// on the record": a circuit-breaker skip is as auditable a reason for the
-// chain to fall through as a failure.
-std::size_t count_failed_steps(const std::vector<std::string>& trail) {
-  std::size_t failed = 0;
-  for (const std::string& line : trail)
-    if (line.find("' failed") != std::string::npos ||
-        line.find("' skipped") != std::string::npos)
-      ++failed;
-  return failed;
-}
-
 bool trail_contains(const std::vector<std::string>& trail,
                     const char* needle) {
   for (const std::string& line : trail)
@@ -103,6 +91,36 @@ bool priority_inversion(const std::vector<std::size_t>& ranks,
       if (fresh[b] && ranks[a] < ranks[b]) return true;
   }
   return false;
+}
+
+std::string soundness_defect(const serve::CellAllocation& alloc,
+                             std::size_t num_rbs) {
+  if (!alloc.status.usable())
+    return "unusable status " + alloc.status.to_string();
+  if (alloc.step.empty()) return "allocation carries no producing step";
+  if (!finite_nonnegative(alloc.power) || !std::isfinite(alloc.sum_rate))
+    return "non-finite or negative allocation from step '" + alloc.step +
+           "'";
+  if (alloc.assignment.size() != num_rbs) return "assignment length mismatch";
+  // The heuristic tail may only answer after both sound steps (admm,
+  // waterfill) fell through on the record.  Failed *or gated-off* both
+  // count: a circuit-breaker skip is as auditable a reason as a failure.
+  if (alloc.step == "equal-power" && alloc.fell_through != 3)
+    return "heuristic equal-power answered without a recorded failure of "
+           "both sound steps";
+  if (alloc.step == "waterfill" && (alloc.fell_through & 1u) == 0)
+    return "waterfill answered without a recorded admm failure";
+  // Overload snapshot service must audit itself: an explicit
+  // degraded:stale/shed/quarantined trail marker.
+  if (is_snapshot_step(alloc.step) &&
+      !trail_contains(alloc.status.trail, "degraded:"))
+    return "snapshot-served step '" + alloc.step +
+           "' carries no degraded: trail marker";
+  if (alloc.step != "admm" && alloc.step != "cache" &&
+      alloc.status.trail.empty())
+    return "degraded step '" + alloc.step +
+           "' carries an empty degradation trail";
+  return {};
 }
 
 const char* to_string(Verdict verdict) {
@@ -211,49 +229,12 @@ ScenarioVerdict grade_scenario(const ScenarioSpec& spec,
       std::snprintf(where, sizeof(where), "tick %zu cell %zu: ", t, c);
 
       // --- Degradation soundness -------------------------------------
-      bool sound = true;
-      if (!alloc.status.usable()) {
-        sound = false;
-        record(std::string(where) + "unusable status " +
-               alloc.status.to_string());
-      } else if (alloc.step.empty()) {
-        sound = false;
-        record(std::string(where) + "allocation carries no producing step");
-      } else if (!finite_nonnegative(alloc.power) ||
-                 !std::isfinite(alloc.sum_rate)) {
-        sound = false;
-        record(std::string(where) + "non-finite or negative allocation from "
-                                    "step '" + alloc.step + "'");
-      } else if (alloc.assignment.size() != problem.num_rbs()) {
-        sound = false;
-        record(std::string(where) + "assignment length mismatch");
-      } else if (alloc.step == "equal-power" &&
-                 count_failed_steps(alloc.status.trail) < 2) {
-        // The heuristic tail may only answer after both sound steps
-        // (admm, waterfill) failed on the record.
-        sound = false;
-        record(std::string(where) +
-               "heuristic equal-power answered without a recorded failure "
-               "of both sound steps");
-      } else if (alloc.step == "waterfill" &&
-                 count_failed_steps(alloc.status.trail) < 1) {
-        sound = false;
-        record(std::string(where) +
-               "waterfill answered without a recorded admm failure");
-      } else if (is_snapshot_step(alloc.step) &&
-                 !trail_contains(alloc.status.trail, "degraded:")) {
-        // Overload snapshot service must audit itself: an explicit
-        // degraded:stale/shed/quarantined trail marker.
-        sound = false;
-        record(std::string(where) + "snapshot-served step '" + alloc.step +
-               "' carries no degraded: trail marker");
-      } else if (alloc.step != "admm" && alloc.step != "cache" &&
-                 alloc.status.trail.empty()) {
-        sound = false;
-        record(std::string(where) + "degraded step '" + alloc.step +
-               "' carries an empty degradation trail");
+      const std::string defect =
+          soundness_defect(alloc, problem.num_rbs());
+      if (!defect.empty()) {
+        ++v.unsound_degradations;
+        record(std::string(where) + defect);
       }
-      if (!sound) ++v.unsound_degradations;
 
       // --- Feasibility residuals -------------------------------------
       const qos::AllocationResiduals residuals =

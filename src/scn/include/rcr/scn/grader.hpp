@@ -13,7 +13,7 @@
 //   soundness    20 pts  all-or-nothing: every degraded answer must carry a
 //                        non-empty FallbackChain trail, stay usable and
 //                        finite, and reach a heuristic step only after the
-//                        sound steps failed
+//                        sound steps fell through (soundness_defect)
 //
 // A scenario's verdict is kUnsound the moment any degradation breaks the
 // soundness contract (the fleet gate: zero unsound verdicts on the seed
@@ -96,6 +96,11 @@ struct GraderOptions {
 bool priority_inversion(const std::vector<std::size_t>& ranks,
                         const std::vector<bool>& fresh,
                         const std::vector<bool>& involuntary);
+
+/// The per-cell-tick soundness rules (DESIGN.md §14): the first one `alloc`
+/// breaks as report text, or "" when it is sound.
+std::string soundness_defect(const serve::CellAllocation& alloc,
+                             std::size_t num_rbs);
 
 /// Replay `spec` through an AllocationService and score it.  Installs the
 /// spec's fault fragment (seeded by spec.seed) for the duration of the

@@ -161,7 +161,7 @@ struct CircuitBreaker {
     return awaiting_probe && tick >= open_until;
   }
   /// The stage ran clean: close (half-open probe success recovers fully).
-  void record_success(const BreakerConfig& config, std::uint64_t tick);
+  void record_success();
   /// The stage failed: trip after failure_threshold consecutive failures;
   /// a failed half-open probe re-opens with doubled backoff.
   void record_failure(const BreakerConfig& config, std::uint64_t tick);

@@ -83,6 +83,10 @@ struct CellAllocation {
   std::size_t iterations = 0;  ///< ADMM iterations spent (0 on hit/fallback).
   opt::WarmUse warm_use = opt::WarmUse::kCold;
   bool cache_hit = false;
+  /// Chain stages that fell through (failed or gated off) before `step`
+  /// answered: bit 0 = admm, bit 1 = waterfill.  0 on snapshot-served
+  /// steps; a cache hit keeps the cached record, as it keeps `status`.
+  std::uint8_t fell_through = 0;
   std::string step;            ///< Producing step: "cache", "admm",
                                ///< "waterfill", "equal-power",
                                ///< "deadline-fill", or one of the

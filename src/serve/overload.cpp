@@ -174,10 +174,7 @@ void BrownoutController::observe(double degraded_fraction, double mean_depth,
   }
 }
 
-void CircuitBreaker::record_success(const BreakerConfig& config,
-                                    std::uint64_t tick) {
-  (void)config;
-  (void)tick;
+void CircuitBreaker::record_success() {
   failures = 0;
   if (awaiting_probe) {
     // Half-open probe succeeded: fully close and forget the backoff.

@@ -1,6 +1,7 @@
 #include "rcr/serve/service.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -225,23 +226,18 @@ CellAllocation AllocationService::solve_cell(const RraProblem& problem,
   if (config_.breaker.enabled) {
     // Advance the breakers from what actually happened.  This runtime state
     // belongs to this cell's pool task alone, so no synchronization is
-    // needed and the evolution is schedule-independent.
-    const auto stage_failed = [&](const char* stage) {
-      const std::string needle =
-          std::string("step '") + stage + "' failed";
-      for (const std::string& line : outcome.status.trail)
-        if (line.find(needle) != std::string::npos) return true;
-      return false;
-    };
-    const auto advance = [&](CircuitBreaker& breaker, const char* stage) {
+    // needed and the evolution is schedule-independent.  A banked answer
+    // also sets its step's failed bit, so the win is checked first.
+    const auto advance = [&](CircuitBreaker& breaker, std::size_t index,
+                             const char* stage) {
       if (outcome.step == stage)
-        breaker.record_success(config_.breaker, tick);
-      else if (stage_failed(stage))
+        breaker.record_success();
+      else if (outcome.failed.test(index))
         breaker.record_failure(config_.breaker, tick);
       // Skipped (gated) stages record nothing: the open window just ages.
     };
-    advance(rtc.admm_breaker, "admm");
-    advance(rtc.waterfill_breaker, "waterfill");
+    advance(rtc.admm_breaker, 0, "admm");
+    advance(rtc.waterfill_breaker, 1, "waterfill");
   }
   if (outcome.status.code == robust::StatusCode::kFallbackExhausted) {
     // Deadline fired before any step could run: every cell still gets an
@@ -257,6 +253,8 @@ CellAllocation AllocationService::solve_cell(const RraProblem& problem,
     alloc.step = outcome.step;
     alloc.status = outcome.status;
   }
+  alloc.fell_through = static_cast<std::uint8_t>(
+      (outcome.failed | outcome.skipped).to_ulong() & 0x3u);
   if (config_.watchdog.enabled &&
       faults::should_inject("serve.solve.corrupt", stamp)) {
     // Poison the solve output so the watchdog has something real to catch.
@@ -456,16 +454,10 @@ TickReport AllocationService::tick(std::size_t tick_index,
         if (a.step == "deadline-fill") ++report.deadline_fills;
       }
       // Fallback-depth proxy for the brownout controller: one clean head
-      // answer is depth 1, every failed or gated step adds one.  Only the
-      // controller reads it, so the trail scan runs only when it is on.
+      // answer is depth 1, every failed or gated stage adds one.
       if (config_.brownout.enabled && !a.cache_hit) {
         ++chain_cells;
-        std::size_t depth = 1;
-        for (const std::string& line : a.status.trail)
-          if (line.find("' failed") != std::string::npos ||
-              line.find("' skipped") != std::string::npos)
-            ++depth;
-        chain_steps += depth;
+        chain_steps += 1 + std::popcount(a.fell_through);
       }
       // Freshness bookkeeping: any chain or cache answer refreshes the
       // staleness clock; only finite non-fill answers refresh the

@@ -119,5 +119,65 @@ TEST(FallbackChain, CleanWinAfterPriorTrailEventsIsStillDegraded) {
   EXPECT_EQ(out.value, 9);
 }
 
+TEST(FallbackChain, FailedAndGatedStepsSetTheirMaskBits) {
+  FallbackChain<int> chain;
+  chain.add("a", Soundness::kExact,
+            [] { return failed(StatusCode::kSingular, "KKT degenerate"); })
+      .add_gated("b", Soundness::kRelaxation, [] { return "breaker open"; },
+                 [] { return ok_result(2); })
+      .add("c", Soundness::kHeuristic, [] { return ok_result(3); });
+  const ChainOutcome<int> out = chain.run();
+  EXPECT_EQ(out.step, "c");
+  EXPECT_EQ(out.failed, StepMask().set(0));
+  EXPECT_EQ(out.skipped, StepMask().set(1));
+  // One bit per failed/skipped trail line.
+  EXPECT_EQ(out.failed.count() + out.skipped.count(),
+            out.status.trail.size());
+}
+
+TEST(FallbackChain, DeadlineCutAndUnreachedStepsSetNoMaskBit) {
+  const Deadline deadline = Deadline::after_seconds(0.001);
+  FallbackChain<int> chain;
+  chain.add("a", Soundness::kExact, [&] {
+         while (!deadline.expired()) {
+         }
+         return failed(StatusCode::kInfeasible, "no point");
+       })
+      .add("b", Soundness::kHeuristic, [] { return ok_result(2); });
+  const ChainOutcome<int> cut = chain.run(deadline);
+  EXPECT_EQ(cut.status.code, StatusCode::kFallbackExhausted);
+  EXPECT_EQ(cut.failed, StepMask().set(0));
+  EXPECT_TRUE(cut.skipped.none()) << "a deadline cut-off is not a skip";
+
+  FallbackChain<int> early;
+  early.add("a", Soundness::kExact, [] { return ok_result(1); })
+      .add("b", Soundness::kHeuristic, [] { return ok_result(2); });
+  const ChainOutcome<int> won = early.run();
+  EXPECT_TRUE(won.failed.none());
+  EXPECT_TRUE(won.skipped.none());
+}
+
+TEST(FallbackChain, BankedWinnerKeepsItsFailedBit) {
+  FallbackChain<int> chain;
+  chain.add("a", Soundness::kExact,
+            [] { return Result<int>{11, make_status(
+                     StatusCode::kNonConverged, "budget out")}; })
+      .add("b", Soundness::kHeuristic,
+           [] { return failed(StatusCode::kInfeasible, "no point"); });
+  const ChainOutcome<int> out = chain.run();
+  ASSERT_EQ(out.step, "a");
+  EXPECT_EQ(out.failed, StepMask().set(0).set(1));
+  EXPECT_TRUE(out.skipped.none());
+}
+
+TEST(FallbackChain, AddingPastTheMaskWidthThrows) {
+  FallbackChain<int> chain;
+  for (std::size_t i = 0; i < kMaxChainSteps; ++i)
+    chain.add("s", Soundness::kHeuristic, [] { return ok_result(0); });
+  EXPECT_THROW(
+      chain.add("s", Soundness::kHeuristic, [] { return ok_result(0); }),
+      std::length_error);
+}
+
 }  // namespace
 }  // namespace rcr::robust

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -134,6 +136,72 @@ TEST(Grader, ReportJsonIsByteIdenticalAcrossRuns) {
   EXPECT_EQ(a, b);
   EXPECT_NE(a.find("\"fleet_seed\": 77"), std::string::npos);
   EXPECT_NE(a.find("\"results\": ["), std::string::npos);
+}
+
+TEST(Grader, EachSoundnessRuleFiresOnItsCraftedAllocation) {
+  // A sound two-RB ADMM answer; each row breaks exactly one rule.
+  serve::CellAllocation head;
+  head.assignment = {0, 1};
+  head.power = {0.5, 0.5};
+  head.sum_rate = 1.0;
+  head.step = "admm";
+  const auto with = [&](auto&& edit) {
+    serve::CellAllocation a = head;
+    edit(a);
+    return a;
+  };
+  const auto degraded = [](serve::CellAllocation& a, const char* step,
+                           std::uint8_t fell_through) {
+    a.step = step;
+    a.fell_through = fell_through;
+    a.status.code = robust::StatusCode::kDegraded;
+    a.status.note("step 'admm' failed (injected)");
+  };
+  struct Row {
+    const char* rule;
+    serve::CellAllocation alloc;
+    std::string defect;
+  };
+  const Row rows[] = {
+      {"sound head", head, ""},
+      {"unusable status",
+       with([](serve::CellAllocation& a) {
+         a.status = robust::make_status(
+             robust::StatusCode::kFallbackExhausted, "nothing ran");
+       }),
+       "unusable status fallback-exhausted: nothing ran"},
+      {"empty step", with([](serve::CellAllocation& a) { a.step.clear(); }),
+       "allocation carries no producing step"},
+      {"non-finite power",
+       with([](serve::CellAllocation& a) {
+         a.power[1] = std::numeric_limits<double>::infinity();
+       }),
+       "non-finite or negative allocation from step 'admm'"},
+      {"length mismatch",
+       with([](serve::CellAllocation& a) { a.assignment.pop_back(); }),
+       "assignment length mismatch"},
+      {"equal-power after one fall-through",
+       with([&](serve::CellAllocation& a) { degraded(a, "equal-power", 1); }),
+       "heuristic equal-power answered without a recorded failure of both "
+       "sound steps"},
+      {"equal-power after both",
+       with([&](serve::CellAllocation& a) { degraded(a, "equal-power", 3); }),
+       ""},
+      {"waterfill without admm bit",
+       with([&](serve::CellAllocation& a) { degraded(a, "waterfill", 2); }),
+       "waterfill answered without a recorded admm failure"},
+      {"waterfill after admm",
+       with([&](serve::CellAllocation& a) { degraded(a, "waterfill", 1); }),
+       ""},
+      {"snapshot without marker",
+       with([&](serve::CellAllocation& a) { degraded(a, "snapshot", 0); }),
+       "snapshot-served step 'snapshot' carries no degraded: trail marker"},
+      {"degraded step with empty trail",
+       with([](serve::CellAllocation& a) { a.step = "deadline-fill"; }),
+       "degraded step 'deadline-fill' carries an empty degradation trail"},
+  };
+  for (const Row& row : rows)
+    EXPECT_EQ(soundness_defect(row.alloc, 2), row.defect) << row.rule;
 }
 
 TEST(Grader, ReportJsonSizeMismatchThrows) {

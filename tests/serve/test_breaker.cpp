@@ -40,7 +40,7 @@ TEST(CircuitBreaker, SuccessResetsTheFailureStreak) {
   CircuitBreaker brk;
   brk.record_failure(bc, 0);
   brk.record_failure(bc, 1);
-  brk.record_success(bc, 2);
+  brk.record_success();
   brk.record_failure(bc, 3);
   brk.record_failure(bc, 4);
   EXPECT_FALSE(brk.blocked(5)) << "streak should have reset at tick 2";
@@ -63,7 +63,7 @@ TEST(CircuitBreaker, ProbeSuccessFullyCloses) {
   const BreakerConfig bc = breaker_config();
   CircuitBreaker brk;
   for (int i = 0; i < 3; ++i) brk.record_failure(bc, 5);
-  brk.record_success(bc, 10);  // half-open probe came back clean
+  brk.record_success();  // half-open probe came back clean
   EXPECT_FALSE(brk.blocked(11));
   EXPECT_FALSE(brk.probing(11));
   EXPECT_EQ(brk.backoff, 0u) << "a clean probe resets the backoff";

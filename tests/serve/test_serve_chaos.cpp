@@ -8,6 +8,7 @@
 // thread counts.  Failures print the RCR_FAULTS replay spec.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -187,6 +188,14 @@ TEST(ServeChaos, FallbackDepthGaugeMatchesTheDegradationTrail) {
       EXPECT_EQ(fallback_depth_gauge(), expected)
           << "tick " << t << ": " << last.status.to_string();
       if (expected > 1.0) saw_depth_beyond_head = true;
+      // The typed record agrees with the trail.  Breakers and brownout are
+      // off, so no stage is gated and every fall-through is a failed line.
+      for (std::size_t c = 0; c < wc.num_cells; ++c) {
+        const CellAllocation& a = service.allocation(c);
+        EXPECT_EQ(static_cast<std::size_t>(std::popcount(a.fell_through)),
+                  failed_steps(a))
+            << "tick " << t << " cell " << c << ": " << a.status.to_string();
+      }
     }
     EXPECT_TRUE(saw_depth_beyond_head)
         << "storm never pushed the last cell past the chain head";
