@@ -17,8 +17,10 @@
 // all come back as a clean robust::Status, because a serving process must
 // degrade to the exact solver, not crash, when its model file is bad.
 //
-// Regeneration follows the repo's golden convention: tests retrain with a
-// fixed seed under RCR_REGEN_GOLDEN=1 and rewrite the artifact in place.
+// The checked-in tests/golden/learn_warm_v1.txt is a frozen artifact: no
+// code in the repository retrains or rewrites it, and
+// GoldenWeights.ArtifactIsPinned fails on any edit, even one that also
+// rewrites the hash line.
 #pragma once
 
 #include <string>
@@ -35,8 +37,8 @@ inline constexpr std::uint32_t kArtifactVersion = 1;
 /// serialization order (the artifact's integrity hash).
 std::uint64_t predictor_hash(const WarmStartPredictor& p);
 
-/// Serialize to `path`.  Throws std::runtime_error on I/O failure (saving
-/// is a training/regen-time operation; serving never writes).
+/// Serialize to `path`.  Throws std::runtime_error on I/O failure (only
+/// tests write artifacts; serving never does).
 void save_predictor(const WarmStartPredictor& p, const std::string& path);
 
 /// Deserialize from `path`.  Returns kOk with a shape-valid, all-finite,

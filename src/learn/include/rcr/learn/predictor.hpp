@@ -16,12 +16,12 @@
 //
 // Inference reads only const flat weight structs and writes caller storage:
 // it is a pure function of (problem, weights), safe to call concurrently
-// and bit-exact across RCR_THREADS.  Training-side conversion to/from an
-// rcr::nn::Sequential lives in train.hpp; this header stays
-// dependency-light.
+// and bit-exact across RCR_THREADS.  The weights come from the frozen
+// artifact (artifact.hpp); nothing in the repository trains them.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "rcr/learn/qp.hpp"
 #include "rcr/learn/unrolled.hpp"
@@ -37,8 +37,7 @@ inline constexpr std::size_t kMaxHidden = 64;
 /// Flat weights of the shared per-RB MLP:
 ///   features -> Dense(hidden) -> ReLU -> Dense(hidden) -> ReLU
 ///            -> Dense(1) -> tanh.
-/// Row-major out x in blocks, matching nn::Dense's layout so the trainer
-/// can copy directly through ParamRef.
+/// Row-major out x in blocks.
 struct MlpWeights {
   std::size_t in = kFeatures;
   std::size_t hidden = 0;
@@ -59,7 +58,7 @@ struct WarmStartPredictor {
   bool shape_ok() const;
 };
 
-/// He-uniform random initialization (tests and training start points).
+/// He-uniform random initialization (test fixtures).
 /// The unrolled head starts as `steps` plain ADMM iterations at `rho`.
 WarmStartPredictor random_predictor(std::size_t hidden, std::size_t steps,
                                     double rho, std::uint64_t seed);
@@ -94,5 +93,11 @@ double mlp_forward(const MlpWeights& w, const double* f);
 void predict_warm_start(const PowerQp& qp, const WarmStartPredictor& p,
                         double rho_out, double* z, double* u,
                         double* scratch);
+
+/// Mean over `dataset` of the predicted start's projected-gradient
+/// residual, each normalized by the cold start's (z = 0): the fraction of
+/// the cold residual the predictor leaves.  0 for an empty dataset.
+double mean_pg_residual(const std::vector<PowerQpData>& dataset,
+                        const WarmStartPredictor& p, double rho);
 
 }  // namespace rcr::learn

@@ -1,32 +1,25 @@
-// Feasibility projections for learned solver outputs.
+// Box feasibility projection for learned solver outputs.
 //
 // A learned component is only trustworthy when its output is feasible *by
 // construction*: whatever the network emits -- including NaN/Inf garbage
-// from corrupted weights -- the projection maps it into the constraint set
-// before anything downstream sees it.  Three sets cover the RCR solver
-// surface:
-//
-//   box      lo <= x <= hi           (ADMM box-QP primal, verify bounds)
-//   simplex  x >= 0, sum x = total   (per-RB power under a budget)
-//   PSD      X symmetric, X >= 0     (SDP relaxation iterates)
+// from corrupted weights -- the projection maps it into the box
+// lo <= x <= hi before anything downstream sees it.
 //
 // Contract (enforced by tests/learn/test_projection.cpp and the
 // fuzz_projection driver):
 //  - totality: any input, including non-finite entries, maps to a feasible
-//    point (non-finite entries are deterministically sanitized first);
-//  - idempotence: box projection is a bitwise fixed point (P(P(x)) == P(x));
-//    simplex and PSD projections are fixed points to a few ULPs of the
-//    iterate scale (their arithmetic re-runs through sums/eigensolves);
+//    point (a non-finite entry becomes its coordinate's box midpoint);
+//  - idempotence: projection is a bitwise fixed point (P(P(x)) == P(x));
 //  - determinism: results are pure functions of the input -- no global
 //    state, no thread-count dependence.
 #pragma once
 
-#include "rcr/numerics/eigen.hpp"
-#include "rcr/numerics/matrix.hpp"
+#include <cstddef>
+
+#include "rcr/numerics/vector_ops.hpp"
 
 namespace rcr::learn {
 
-using num::Matrix;
 using rcr::Vec;
 
 /// Clamp v into [lo, hi] elementwise; a non-finite entry becomes the box
@@ -37,25 +30,8 @@ void project_box(double* v, const double* lo, const double* hi,
                  std::size_t n);
 Vec project_box(Vec v, const Vec& lo, const Vec& hi);
 
-/// Euclidean projection onto {x >= 0, sum x = total} (Duchi et al.'s
-/// sort-based algorithm).  `total` must be finite and >= 0 (throws
-/// otherwise); total == 0 maps everything to the zero vector.  Non-finite
-/// input entries are sanitized to 0 and huge magnitudes are clamped so the
-/// internal prefix sums cannot overflow.
-Vec project_simplex(Vec v, double total);
-
-/// Projection onto the PSD cone in Frobenius norm: symmetrize, clamp the
-/// negative eigenvalues of the symmetric part at zero, reconstruct.
-/// Non-finite entries are sanitized to 0 first.  Throws
-/// std::invalid_argument on a non-square input.
-Matrix project_psd(const Matrix& a);
-
 /// True when every entry of v lies in [lo - tol, hi + tol] and is finite.
 bool box_feasible(const Vec& v, const Vec& lo, const Vec& hi,
                   double tol = 0.0);
-
-/// True when v >= -tol elementwise and |sum v - total| <= tol * scale,
-/// scale = max(1, |total|).
-bool simplex_feasible(const Vec& v, double total, double tol = 1e-9);
 
 }  // namespace rcr::learn

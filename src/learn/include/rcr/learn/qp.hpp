@@ -15,9 +15,9 @@
 // its acceptance checks cost a handful of passes over the RB axis.
 //
 // power_qp_coeffs is the single source of truth for the Taylor coefficients;
-// serve::AllocationService::solve_cell calls it with arena pointers and the
-// learn trainer/tests call it through make_power_qp, so the two sides can
-// never drift apart bit-wise.
+// serve::AllocationService::solve_cell calls it with arena pointers and
+// serve::sample_power_qps calls it through make_power_qp, so the learn
+// tests' datasets and the served problems never drift apart bit-wise.
 #pragma once
 
 #include <cmath>
@@ -42,7 +42,7 @@ struct PowerQp {
   double max_curv = 0.0;          ///< max_i curv_i (feature normalizer).
 };
 
-/// Owning problem record (the trainer's dataset element).
+/// Owning problem record (the element of serve::sample_power_qps).
 struct PowerQpData {
   Vec curv, slope, lo, hi;
   std::size_t n = 0;
@@ -95,9 +95,6 @@ PowerQpData make_power_qp(const Vec& gains, double budget,
 
 /// f(z) = sum_i (1/2 curv_i z_i^2 + slope_i z_i) + lambda (sum_i z_i)^2.
 double qp_objective(const PowerQp& qp, const double* z);
-
-/// g_i = curv_i z_i + slope_i + 2 lambda sum_j z_j, into caller storage.
-void qp_gradient(const PowerQp& qp, const double* z, double* g);
 
 /// Projected-gradient residual ||z - clamp(z - g(z), lo, hi)||_2: zero
 /// exactly at the box-constrained optimum, and a schedule-independent O(n)

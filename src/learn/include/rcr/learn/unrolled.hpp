@@ -10,8 +10,7 @@
 // The head refines a starting point (typically the MLP's projected output)
 // rather than replacing the exact solver: its output is still only a warm
 // start, validated by the opt-layer accept/reject contract before the sound
-// tail consumes it.  Parameters live in a flat Vec (log-rho so positivity
-// is free) so the trainer can drive them with L-BFGS.
+// tail consumes it.  Penalties are stored as log-rho so positivity is free.
 #pragma once
 
 #include <cstddef>
@@ -28,13 +27,8 @@ struct UnrolledParams {
   std::size_t steps() const { return log_rho.size(); }
 
   /// K steps of plain ADMM at penalty `rho` (log_rho = log rho, alpha = 1):
-  /// the do-no-harm initialization training starts from.
+  /// the do-no-harm setting.
   static UnrolledParams plain(std::size_t k, double rho);
-
-  /// Flatten to a single parameter vector [log_rho..., alpha...] for the
-  /// numerical-gradient trainer, and back.
-  Vec pack() const;
-  static UnrolledParams unpack(const Vec& flat);
 };
 
 /// Run the K unrolled steps in place on scaled-dual state (z, u), each of

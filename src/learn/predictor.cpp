@@ -137,4 +137,24 @@ void predict_warm_start(const PowerQp& qp, const WarmStartPredictor& p,
   }
 }
 
+double mean_pg_residual(const std::vector<PowerQpData>& dataset,
+                        const WarmStartPredictor& p, double rho) {
+  if (dataset.empty()) return 0.0;
+  double sum = 0.0;
+  Vec z, u, scratch, cold;
+  for (const PowerQpData& data : dataset) {
+    const PowerQp qp = data.view();
+    z.resize(qp.n);
+    u.resize(qp.n);
+    scratch.resize(2 * qp.n);
+    predict_warm_start(qp, p, rho, z.data(), u.data(), scratch.data());
+    // Normalize by the cold start's residual (z = 0 is the exact solver's
+    // cold initialization) so problems of different scales weigh equally.
+    cold.assign(qp.n, 0.0);
+    const double denom = pg_residual(qp, cold.data()) + 1e-300;
+    sum += pg_residual(qp, z.data()) / denom;
+  }
+  return sum / static_cast<double>(dataset.size());
+}
+
 }  // namespace rcr::learn

@@ -2,18 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
-#include <vector>
 
 namespace rcr::learn {
-
-namespace {
-// Magnitude cap applied before the simplex prefix sums: large enough that no
-// sane iterate is ever touched, small enough that summing 2^20 capped
-// entries cannot overflow a double.
-constexpr double kSimplexCap = 1e100;
-}  // namespace
 
 void project_box(double* v, const double* lo, const double* hi,
                  std::size_t n) {
@@ -33,77 +24,6 @@ Vec project_box(Vec v, const Vec& lo, const Vec& hi) {
   return v;
 }
 
-Vec project_simplex(Vec v, double total) {
-  if (!std::isfinite(total) || total < 0.0)
-    throw std::invalid_argument("project_simplex: total must be finite, >= 0");
-  const std::size_t n = v.size();
-  if (n == 0) return v;
-  if (total == 0.0) {
-    std::fill(v.begin(), v.end(), 0.0);
-    return v;
-  }
-  for (double& x : v) {
-    if (!std::isfinite(x)) x = 0.0;
-    x = std::clamp(x, -kSimplexCap, kSimplexCap);
-  }
-  // Duchi et al. (2008): sort descending, find the largest k with
-  // u_k - (prefix_k - total) / k > 0, shift by that theta, clamp at zero.
-  std::vector<double> u(v.begin(), v.end());
-  std::sort(u.begin(), u.end(), std::greater<double>());
-  double prefix = 0.0;
-  double theta = 0.0;
-  std::size_t k = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    prefix += u[i];
-    const double cand = (prefix - total) / static_cast<double>(i + 1);
-    if (u[i] - cand > 0.0) {
-      theta = cand;
-      k = i + 1;
-    }
-  }
-  if (k == 0) {
-    // All mass collapses onto the single largest coordinate (can only happen
-    // through ties at extreme magnitudes); fall back to the uniform point,
-    // which is always feasible.
-    const double p = total / static_cast<double>(n);
-    std::fill(v.begin(), v.end(), p);
-    return v;
-  }
-  for (double& x : v) x = std::max(x - theta, 0.0);
-  // At magnitudes near kSimplexCap the shift above cancels catastrophically
-  // (absolute error up to |theta| * eps), so the mass can land far from
-  // `total`.  A final exact rescale makes feasibility structural: the
-  // output is nonnegative by construction and sums to `total` up to a few
-  // ulps regardless of the input's conditioning.
-  const double sum = std::accumulate(v.begin(), v.end(), 0.0);
-  if (!(sum > 0.0) || !std::isfinite(sum)) {
-    const double p = total / static_cast<double>(n);
-    std::fill(v.begin(), v.end(), p);
-    return v;
-  }
-  const double scale = total / sum;
-  if (scale != 1.0)
-    for (double& x : v) x *= scale;
-  return v;
-}
-
-Matrix project_psd(const Matrix& a) {
-  if (a.rows() != a.cols())
-    throw std::invalid_argument("project_psd: matrix must be square");
-  const std::size_t n = a.rows();
-  Matrix sym(n, n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      double x = a(i, j);
-      double y = a(j, i);
-      if (!std::isfinite(x)) x = 0.0;
-      if (!std::isfinite(y)) y = 0.0;
-      sym(i, j) = 0.5 * (x + y);
-    }
-  }
-  return num::project_psd(sym);
-}
-
 bool box_feasible(const Vec& v, const Vec& lo, const Vec& hi, double tol) {
   if (v.size() != lo.size() || v.size() != hi.size()) return false;
   for (std::size_t i = 0; i < v.size(); ++i) {
@@ -111,15 +31,6 @@ bool box_feasible(const Vec& v, const Vec& lo, const Vec& hi, double tol) {
     if (v[i] < lo[i] - tol || v[i] > hi[i] + tol) return false;
   }
   return true;
-}
-
-bool simplex_feasible(const Vec& v, double total, double tol) {
-  double sum = 0.0;
-  for (double x : v) {
-    if (!std::isfinite(x) || x < -tol) return false;
-    sum += x;
-  }
-  return std::abs(sum - total) <= tol * std::max(1.0, std::abs(total));
 }
 
 }  // namespace rcr::learn

@@ -44,14 +44,6 @@ double qp_objective(const PowerQp& qp, const double* z) {
   return 0.5 * quad + lin + qp.lambda * total * total;
 }
 
-void qp_gradient(const PowerQp& qp, const double* z, double* g) {
-  double total = 0.0;
-  for (std::size_t i = 0; i < qp.n; ++i) total += z[i];
-  const double coupling = 2.0 * qp.lambda * total;
-  for (std::size_t i = 0; i < qp.n; ++i)
-    g[i] = qp.curv[i] * z[i] + qp.slope[i] + coupling;
-}
-
 double pg_residual(const PowerQp& qp, const double* z) {
   double total = 0.0;
   for (std::size_t i = 0; i < qp.n; ++i) total += z[i];

@@ -15,24 +15,6 @@ UnrolledParams UnrolledParams::plain(std::size_t k, double rho) {
   return p;
 }
 
-Vec UnrolledParams::pack() const {
-  Vec flat;
-  flat.reserve(log_rho.size() + alpha.size());
-  flat.insert(flat.end(), log_rho.begin(), log_rho.end());
-  flat.insert(flat.end(), alpha.begin(), alpha.end());
-  return flat;
-}
-
-UnrolledParams UnrolledParams::unpack(const Vec& flat) {
-  if (flat.size() % 2 != 0)
-    throw std::invalid_argument("UnrolledParams::unpack: odd length");
-  const std::size_t k = flat.size() / 2;
-  UnrolledParams p;
-  p.log_rho.assign(flat.begin(), flat.begin() + static_cast<long>(k));
-  p.alpha.assign(flat.begin() + static_cast<long>(k), flat.end());
-  return p;
-}
-
 void rescale_dual(double* u, std::size_t n, double rho_from, double rho_to) {
   if (rho_from == rho_to) return;
   const double scale = rho_from / rho_to;
@@ -48,9 +30,9 @@ void unrolled_admm_run(const PowerQp& qp, const UnrolledParams& params,
   double* x = scratch;
   double rho_prev = 0.0;
   for (std::size_t k = 0; k < params.steps(); ++k) {
-    // Clamp the learnable knobs to a sane region: training explores freely
-    // but a wild parameter (or corrupted artifact) cannot make a step
-    // amplify the iterate unboundedly.
+    // Clamp the learnable knobs to a sane region: a wild parameter (or
+    // corrupted artifact) cannot make a step amplify the iterate
+    // unboundedly.
     const double rho =
         std::clamp(std::exp(std::clamp(params.log_rho[k], -20.0, 20.0)),
                    1e-8, 1e8);

@@ -86,11 +86,6 @@ const char* to_string(BrownoutState state);
 
 struct BrownoutConfig {
   bool enabled = false;
-  /// Wall-clock p99 tick-latency budget in microseconds; 0 disables the
-  /// latency pressure term (the deterministic default -- arming it makes
-  /// state transitions timing-dependent by design).
-  double latency_budget_us = 0.0;
-  double ewma_alpha = 0.25;     ///< EWMA weight for the latency estimate.
   double enter_brownout = 0.5;  ///< Pressure at which NORMAL -> BROWNOUT.
   double enter_shed = 0.9;      ///< Pressure at which BROWNOUT -> SHED.
   double exit_margin = 0.5;     ///< Exit when pressure < threshold * margin.
@@ -112,11 +107,10 @@ class BrownoutController {
 
   BrownoutState state() const { return state_; }
 
-  /// Feed one tick's pressure signals.  `degraded_fraction` and `mean_depth`
-  /// (mean fallback-chain depth, 1.0 = every head answered) are deterministic;
-  /// `tick_latency_us` contributes only when latency_budget_us > 0.
-  void observe(double degraded_fraction, double mean_depth,
-               double tick_latency_us);
+  /// Feed one tick's pressure signals: `degraded_fraction` and `mean_depth`
+  /// (mean fallback-chain depth, 1.0 = every head answered).  Both are
+  /// deterministic, so state transitions replay bit-for-bit.
+  void observe(double degraded_fraction, double mean_depth);
 
   std::uint64_t transitions() const { return transitions_; }
   /// Ticks observed while in `state` (dwell time).
@@ -129,8 +123,6 @@ class BrownoutController {
 
   BrownoutConfig config_;
   BrownoutState state_ = BrownoutState::kNormal;
-  double ewma_us_ = 0.0;
-  double peak_us_ = 0.0;  ///< Decaying max: the p99 proxy.
   std::size_t above_ = 0;
   std::size_t below_ = 0;
   std::uint64_t transitions_ = 0;

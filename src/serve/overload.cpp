@@ -120,8 +120,7 @@ void BrownoutController::transition(BrownoutState next) {
                  static_cast<double>(static_cast<int>(state_)));
 }
 
-void BrownoutController::observe(double degraded_fraction, double mean_depth,
-                                 double tick_latency_us) {
+void BrownoutController::observe(double degraded_fraction, double mean_depth) {
   if (!config_.enabled) return;
   ++dwell_[static_cast<std::size_t>(state_)];
 
@@ -129,17 +128,6 @@ void BrownoutController::observe(double degraded_fraction, double mean_depth,
   // mean_depth == 1 means every chain head answered; each extra fallback
   // step across the fleet is load the cheap heads should be absorbing.
   pressure = std::max(pressure, (mean_depth - 1.0) * 0.5);
-  if (config_.latency_budget_us > 0.0) {
-    ewma_us_ = ewma_us_ == 0.0
-                   ? tick_latency_us
-                   : config_.ewma_alpha * tick_latency_us +
-                         (1.0 - config_.ewma_alpha) * ewma_us_;
-    // Decaying max approximates the p99 without a reservoir.
-    peak_us_ = std::max(tick_latency_us, 0.8 * peak_us_);
-    pressure =
-        std::max(pressure, std::max(ewma_us_, peak_us_) /
-                               config_.latency_budget_us);
-  }
 
   switch (state_) {
     case BrownoutState::kNormal:

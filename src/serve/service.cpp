@@ -531,8 +531,7 @@ TickReport AllocationService::tick(std::size_t tick_index,
         chain_cells > 0 ? static_cast<double>(chain_steps) /
                               static_cast<double>(chain_cells)
                         : 1.0;
-    brownout_.observe(degraded_fraction, mean_depth,
-                      report.tick_seconds * 1e6);
+    brownout_.observe(degraded_fraction, mean_depth);
     obs::gauge_set("rcr.brownout.state",
                    static_cast<double>(static_cast<int>(brownout_.state())));
   }

@@ -5,7 +5,6 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <limits>
 #include <map>
 #include <memory>
@@ -264,18 +263,7 @@ void fft_inplace(CVec& x, FftWorkspace& ws) { transform_inplace(x, false, ws); }
 
 void ifft_inplace(CVec& x, FftWorkspace& ws) { transform_inplace(x, true, ws); }
 
-std::size_t fft_table_cache_capacity() {
-  static const std::size_t cap = [] {
-    if (const char* env = std::getenv("RCR_FFT_CACHE")) {
-      char* end = nullptr;
-      const long v = std::strtol(env, &end, 10);
-      if (end != env && *end == '\0' && v > 0 && v <= 1000000)
-        return static_cast<std::size_t>(v);
-    }
-    return static_cast<std::size_t>(64);
-  }();
-  return cap;
-}
+std::size_t fft_table_cache_capacity() { return 64; }
 
 CVec rfft(const Vec& x) {
   const CVec full = fft(to_complex(x));

@@ -46,8 +46,7 @@ void fft_inplace(CVec& x, FftWorkspace& ws);
 void ifft_inplace(CVec& x, FftWorkspace& ws);
 
 /// Capacity of each per-size FFT table cache (radix-2 twiddles, Bluestein
-/// chirps): the RCR_FFT_CACHE environment variable when set to a positive
-/// integer, otherwise 64.  Least-recently-used sizes are evicted beyond the
+/// chirps): 64 sizes.  Least-recently-used sizes are evicted beyond the
 /// cap, bounding cache memory during sweeps over many transform sizes.
 std::size_t fft_table_cache_capacity();
 

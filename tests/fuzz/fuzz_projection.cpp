@@ -1,12 +1,12 @@
-// Structure-aware fuzz driver for the rcr::learn feasibility projections.
+// Structure-aware fuzz driver for the rcr::learn box projection.
 //
-// A byte buffer decodes into a projection workload: a box case (bounds +
-// point) and a simplex case (weights + total), with *raw u64 bit patterns*
-// reinterpreted as doubles so NaN payloads, infinities, denormals, and
-// huge magnitudes all reach the projections unsanitized -- the projections
-// promise totality on exactly that input space.  Invariants re-checked per
-// input: the projected point is feasible, projection is (bitwise, for the
-// box) idempotent, and no exception escapes for in-contract bounds.
+// A byte buffer decodes into a box case (bounds + point), with the point's
+// *raw u64 bit patterns* reinterpreted as doubles so NaN payloads,
+// infinities, denormals, and huge magnitudes all reach the projection
+// unsanitized -- the projection promises totality on exactly that input
+// space.  Invariants re-checked per input: the projected point is feasible,
+// projection is bitwise idempotent, and no exception escapes for
+// in-contract bounds.
 //
 // Default build: standalone smoke binary (deterministic corpus + SplitMix64
 // mutation loop under RCR_FUZZ_BUDGET_S, ctest label `fuzz-smoke`).  With
@@ -28,7 +28,7 @@ namespace tk = rcr::testkit;
 namespace {
 
 /// Raw bit-pattern double: unlike ByteReader::sample this is deliberately
-/// NOT sanitized -- the projections must survive any of the 2^64 patterns.
+/// NOT sanitized -- the projection must survive any of the 2^64 patterns.
 double raw_double(tk::ByteReader& reader) {
   const std::uint64_t bits = reader.u64();
   double x;
@@ -39,7 +39,7 @@ double raw_double(tk::ByteReader& reader) {
 std::string fuzz_projection_one(const std::uint8_t* data, std::size_t size) {
   tk::ByteReader reader(data, size);
 
-  // --- Box case: contract-valid bounds (finite, lo <= hi), raw point. ---
+  // Contract-valid bounds (finite, lo <= hi), raw point.
   const std::size_t n = reader.size_in(1, 48);
   rcr::learn::Vec lo(n), hi(n), v(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -62,32 +62,13 @@ std::string fuzz_projection_one(const std::uint8_t* data, std::size_t size) {
   for (std::size_t i = 0; i < n; ++i)
     if (std::memcmp(&once[i], &twice[i], sizeof(double)) != 0)
       return "box projection not bitwise idempotent at " + std::to_string(i);
-
-  // --- Simplex case: contract-valid total, raw weights. ---
-  const std::size_t m = reader.size_in(1, 48);
-  rcr::learn::Vec w(m);
-  for (std::size_t i = 0; i < m; ++i) w[i] = raw_double(reader);
-  const double total = std::abs(reader.sample(50.0));
-  rcr::learn::Vec s, s2;
-  try {
-    s = rcr::learn::project_simplex(w, total);
-    s2 = rcr::learn::project_simplex(s, total);
-  } catch (const std::exception& e) {
-    return std::string("project_simplex threw on in-contract total: ") +
-           e.what();
-  }
-  if (!rcr::learn::simplex_feasible(s, total, 1e-9))
-    return "simplex projection not feasible";
-  for (std::size_t i = 0; i < m; ++i)
-    if (std::abs(s[i] - s2[i]) > 1e-12 * std::max(1.0, std::abs(s[i])))
-      return "simplex projection not idempotent at " + std::to_string(i);
   return std::string();
 }
 
 /// Seed corpus: hand-picked buffers hitting the corners -- empty input
 /// (ByteReader zero-fills: n=1, zero box), all-0xff (NaN bit patterns,
 /// max sizes), alternating bytes (denormal-ish patterns), and a long
-/// mixed buffer exercising both cases at full width.
+/// mixed buffer at full width.
 std::vector<std::vector<std::uint8_t>> projection_corpus() {
   std::vector<std::vector<std::uint8_t>> corpus;
   corpus.push_back({});

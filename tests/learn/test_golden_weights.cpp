@@ -8,18 +8,16 @@
 //    wrong hash, wrong header, oversized shape) comes back as a clean
 //    failed Status -- never a throw;
 //  - save/load round-trips bit-exactly;
-//  - RCR_REGEN_GOLDEN=1 retrains from the fixed seed and rewrites the file
-//    (the same deterministic recipe twice yields the same bytes).
+//  - the artifact is frozen: its value hash equals a constant written here,
+//    so an edit that also rewrites the file's own hash line still fails.
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 
 #include "rcr/learn/artifact.hpp"
-#include "rcr/learn/train.hpp"
 #include "rcr/serve/workload.hpp"
 
 namespace rcr::learn {
@@ -27,34 +25,10 @@ namespace {
 
 const char* kGoldenPath = RCR_GOLDEN_DIR "/learn_warm_v1.txt";
 
-bool regen_requested() {
-  const char* v = std::getenv("RCR_REGEN_GOLDEN");
-  return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
-
-/// The canonical recipe behind the checked-in artifact.  Fixed seeds make
-/// regeneration deterministic: retraining on any machine writes the same
-/// bytes.
-serve::WorkloadConfig golden_workload() {
-  serve::WorkloadConfig wc;  // defaults: 8 cells x 12 RBs, seed 42
-  return wc;
-}
-
-TrainConfig golden_train_config() {
-  TrainConfig tc;
-  tc.hidden = 16;
-  tc.unrolled_steps = 4;
-  tc.epochs = 30;
-  tc.lbfgs_iterations = 40;
-  tc.seed = 0x9e3779b97f4a7c15ull;
-  return tc;
-}
-
-WarmStartPredictor retrain_golden() {
-  const std::vector<PowerQpData> dataset =
-      serve::sample_power_qps(golden_workload(), 24);
-  return train_predictor(dataset, golden_train_config());
-}
+/// FNV-1a value hash of the checked-in artifact.  Nothing regenerates the
+/// file, so this constant only changes together with a deliberate,
+/// reviewed replacement of the weights.
+constexpr std::uint64_t kPinnedHash = 0x2ff999b553a46fabull;
 
 std::string temp_path(const char* name) {
   return ::testing::TempDir() + name;
@@ -73,10 +47,6 @@ void spit(const std::string& path, const std::string& content) {
 }
 
 TEST(GoldenWeights, ArtifactLoadsVerifiesAndMeetsQualityFloor) {
-  if (regen_requested()) {
-    save_predictor(retrain_golden(), kGoldenPath);
-    std::printf("regenerated %s\n", kGoldenPath);
-  }
   const robust::Result<WarmStartPredictor> loaded =
       load_predictor(kGoldenPath);
   ASSERT_TRUE(loaded.status.ok()) << loaded.status.to_string();
@@ -86,25 +56,19 @@ TEST(GoldenWeights, ArtifactLoadsVerifiesAndMeetsQualityFloor) {
   // Quality floor on an out-of-training workload slice: the learned start
   // must leave well under half of the cold start's projected-gradient
   // residual on average.
-  serve::WorkloadConfig eval = golden_workload();
-  eval.seed = 1234;  // different channel draws than training
+  serve::WorkloadConfig eval;  // defaults: 8 cells x 12 RBs
+  eval.seed = 1234;  // the artifact was trained on the default seed, 42
   const std::vector<PowerQpData> dataset = serve::sample_power_qps(eval, 8);
   const double resid = mean_pg_residual(dataset, loaded.value, 1.0);
   EXPECT_LT(resid, 0.5) << "learned head quality regressed";
 }
 
-TEST(GoldenWeights, RegenRecipeIsDeterministic) {
-  // The full golden recipe is exercised only when regenerating; here a
-  // scaled-down version of the same pipeline must be bit-reproducible.
-  serve::WorkloadConfig wc = golden_workload();
-  wc.num_cells = 2;
-  const std::vector<PowerQpData> dataset = serve::sample_power_qps(wc, 4);
-  TrainConfig tc = golden_train_config();
-  tc.epochs = 3;
-  tc.lbfgs_iterations = 3;
-  const std::uint64_t h1 = predictor_hash(train_predictor(dataset, tc));
-  const std::uint64_t h2 = predictor_hash(train_predictor(dataset, tc));
-  EXPECT_EQ(h1, h2);
+TEST(GoldenWeights, ArtifactIsPinned) {
+  const robust::Result<WarmStartPredictor> loaded =
+      load_predictor(kGoldenPath);
+  ASSERT_TRUE(loaded.status.ok()) << loaded.status.to_string();
+  EXPECT_EQ(predictor_hash(loaded.value), kPinnedHash)
+      << "learn_warm_v1.txt changed";
 }
 
 TEST(GoldenWeights, SaveLoadRoundTripsBitExactly) {

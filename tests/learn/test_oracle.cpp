@@ -21,7 +21,6 @@
 
 #include "rcr/learn/artifact.hpp"
 #include "rcr/learn/project.hpp"
-#include "rcr/learn/train.hpp"
 #include "rcr/opt/admm.hpp"
 #include "rcr/serve/service.hpp"
 #include "rcr/serve/workload.hpp"
@@ -33,7 +32,7 @@ const char* kGoldenPath = RCR_GOLDEN_DIR "/learn_warm_v1.txt";
 
 /// Normalized objective-gap bound for the raw prediction (before the exact
 /// solver runs).  The chain stays sound for any value -- this pins model
-/// quality so a regression in training shows up as a test failure.
+/// quality so a worse replacement artifact shows up as a test failure.
 constexpr double kGapBound = 0.05;
 
 WarmStartPredictor golden() {

@@ -1,7 +1,7 @@
-// Property tests for the rcr::learn feasibility projections: totality on
+// Property tests for the rcr::learn box projection: totality on
 // adversarial inputs (NaN/Inf/huge/degenerate), idempotence, feasibility,
-// and schedule independence (a projection is a pure serial function, so its
-// bits cannot depend on RCR_THREADS).
+// and schedule independence (the projection is a pure serial function, so
+// its bits cannot depend on RCR_THREADS).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -66,28 +66,6 @@ tk::Gen<BoxCase> gen_box_case() {
   return g;
 }
 
-struct SimplexCase {
-  Vec v;
-  double total = 1.0;
-};
-
-tk::Gen<SimplexCase> gen_simplex_case() {
-  tk::Gen<SimplexCase> g;
-  g.sample = [](num::Rng& rng) {
-    SimplexCase c;
-    const std::size_t n = static_cast<std::size_t>(rng.uniform_int(1, 24));
-    c.v.resize(n);
-    for (double& x : c.v) x = rng.uniform(-50.0, 50.0);
-    c.total = rng.uniform(0.01, 20.0);
-    return c;
-  };
-  g.show = [](const SimplexCase& c) {
-    return "total = " + tk::show_double(c.total) +
-           ", v = " + tk::show_vec(c.v);
-  };
-  return g;
-}
-
 TEST(ProjectBox, FeasibleAndBitwiseIdempotentOnRandomInputs) {
   RCR_EXPECT_PROP(tk::check<BoxCase>(
       "box projection feasible + idempotent", gen_box_case(),
@@ -138,68 +116,8 @@ TEST(ProjectBox, DegenerateBoxAndBadBounds) {
                std::invalid_argument);
 }
 
-TEST(ProjectSimplex, FeasibleAndIdempotentOnRandomInputs) {
-  RCR_EXPECT_PROP(tk::check<SimplexCase>(
-      "simplex projection feasible + idempotent", gen_simplex_case(),
-      [](const SimplexCase& c) {
-        const Vec once = project_simplex(c.v, c.total);
-        if (!simplex_feasible(once, c.total, 1e-9))
-          return std::string("projection not feasible");
-        const Vec twice = project_simplex(once, c.total);
-        for (std::size_t i = 0; i < once.size(); ++i)
-          if (std::abs(once[i] - twice[i]) >
-              1e-12 * std::max(1.0, std::abs(once[i])))
-            return "not idempotent at " + std::to_string(i);
-        return std::string();
-      }));
-}
-
-TEST(ProjectSimplex, AdversarialInputsStayFeasible) {
-  num::Rng rng(77);
-  for (int trial = 0; trial < 200; ++trial) {
-    const std::size_t n = static_cast<std::size_t>(rng.uniform_int(1, 12));
-    const Vec v = adversarial_vec(rng, n);
-    const double total = std::abs(rng.normal()) + 0.1;
-    const Vec p = project_simplex(v, total);
-    EXPECT_TRUE(simplex_feasible(p, total, 1e-9))
-        << "trial " << trial << " n=" << n;
-  }
-}
-
-TEST(ProjectSimplex, EdgeCasesAndBadTotals) {
-  EXPECT_TRUE(project_simplex({}, 1.0).empty());
-  const Vec zeroed = project_simplex({3.0, kNan, -1.0}, 0.0);
-  for (double x : zeroed) EXPECT_EQ(x, 0.0);
-  // Single element: all mass on it regardless of input.
-  EXPECT_EQ(project_simplex({kNan}, 2.5)[0], 2.5);
-  EXPECT_THROW(project_simplex({1.0}, -1.0), std::invalid_argument);
-  EXPECT_THROW(project_simplex({1.0}, kNan), std::invalid_argument);
-  EXPECT_THROW(project_simplex({1.0}, kInf), std::invalid_argument);
-}
-
-TEST(ProjectPsd, OutputIsPsdEvenForAdversarialMatrices) {
-  num::Rng rng(5150);
-  for (int trial = 0; trial < 30; ++trial) {
-    const std::size_t n = static_cast<std::size_t>(rng.uniform_int(1, 5));
-    Matrix a(n, n);
-    for (std::size_t i = 0; i < n; ++i)
-      for (std::size_t j = 0; j < n; ++j) {
-        switch (rng.uniform_int(0, 4)) {
-          case 0: a(i, j) = kNan; break;
-          case 1: a(i, j) = (i + j) % 2 ? kInf : -kInf; break;
-          default: a(i, j) = rng.normal(); break;
-        }
-      }
-    const Matrix p = rcr::learn::project_psd(a);
-    const num::EigenDecomposition eig = num::eigen_symmetric(p);
-    for (double ev : eig.eigenvalues)
-      EXPECT_GE(ev, -1e-9) << "trial " << trial;
-  }
-  EXPECT_THROW(rcr::learn::project_psd(Matrix(2, 3)), std::invalid_argument);
-}
-
 TEST(Projection, BitExactAcrossThreadModes) {
-  // Projections are pure serial functions; pin that down by comparing a
+  // The projection is a pure serial function; pin that down by comparing a
   // forced-serial run against a forced fan-out on a pool with workers,
   // which must not dispatch anything.
   num::Rng rng(31337);
@@ -210,23 +128,19 @@ TEST(Projection, BitExactAcrossThreadModes) {
     hi[i] = std::abs(rng.normal()) + 0.1;
     v[i] = rng.normal(0.0, 10.0);
   }
-  Vec box_parallel, simplex_parallel;
+  Vec box_parallel;
   {
     test_support::FanOutLeg leg;
     box_parallel = project_box(v, lo, hi);
-    simplex_parallel = project_simplex(v, 3.0);
-    EXPECT_EQ(leg.tasks(), 0u) << "a projection reached the pool";
+    EXPECT_EQ(leg.tasks(), 0u) << "the projection reached the pool";
   }
-  Vec box_serial, simplex_serial;
+  Vec box_serial;
   {
     rt::ForceSerialGuard serial;
     box_serial = project_box(v, lo, hi);
-    simplex_serial = project_simplex(v, 3.0);
   }
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < n; ++i)
     EXPECT_EQ(box_parallel[i], box_serial[i]);
-    EXPECT_EQ(simplex_parallel[i], simplex_serial[i]);
-  }
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // FFT twiddle/chirp table cache: concurrent first-touch safety, LRU
-// eviction correctness, the RCR_FFT_CACHE capacity accessor, and the
+// eviction correctness, the capacity accessor, and the
 // allocation-free warm path of the in-place transforms.
 #include <gtest/gtest.h>
 
